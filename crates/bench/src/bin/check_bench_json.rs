@@ -213,6 +213,7 @@ fn run_schema_mode(paths: &[String]) -> ExitCode {
 const SIMLINT_RULES: &[&str] = &[
     "D-MAP",
     "D-TIME",
+    "D-ENV",
     "D-RAND",
     "D-CAST",
     "D-STEAL",

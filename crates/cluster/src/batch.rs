@@ -45,6 +45,36 @@ impl MicroBatch {
     }
 }
 
+/// Sums each request's new tokens over `mbs` into `(request, tokens)`
+/// pairs, in order of first appearance. A former may split one request's
+/// chunk across microbatches; the pieces fold into one entry.
+///
+/// Runs in O(chunks): `pos` is caller-owned scratch indexed by
+/// [`RequestId`], holding `1 + index` of a request's entry while the call
+/// runs. Every slot it sets is reset to 0 before returning, so one scratch
+/// serves every iteration and allocates only when a larger id appears.
+pub fn aggregate_progress(mbs: &[MicroBatch], pos: &mut Vec<u32>) -> Vec<(RequestId, u64)> {
+    let mut out: Vec<(RequestId, u64)> =
+        Vec::with_capacity(mbs.iter().map(|m| m.chunks.len()).sum());
+    for c in mbs.iter().flat_map(|m| &m.chunks) {
+        let r = c.request.0;
+        if r >= pos.len() {
+            pos.resize(r + 1, 0);
+        }
+        match pos[r] {
+            0 => {
+                out.push((c.request, c.work.new_tokens));
+                pos[r] = out.len() as u32;
+            }
+            i => out[i as usize - 1].1 += c.work.new_tokens,
+        }
+    }
+    for &(r, _) in &out {
+        pos[r.0] = 0;
+    }
+    out
+}
+
 /// Token-count-based microbatch formation (the Sarathi-Serve/vLLM baseline,
 /// paper Fig. 9 (a)–(b)).
 ///
@@ -211,6 +241,62 @@ mod tests {
         for w in first_mb_of.windows(2) {
             assert!(w[0] <= w[1], "arrival order preserved across microbatches");
         }
+    }
+
+    fn ids(per_req: &[(RequestId, u64)]) -> Vec<(usize, u64)> {
+        per_req.iter().map(|&(r, t)| (r.0, t)).collect()
+    }
+
+    #[test]
+    fn aggregate_folds_token_count_splits_in_first_appearance_order() {
+        // Request 7 straddles the 300-token budget and is split across
+        // microbatches; ids are deliberately not in ascending order.
+        let work = vec![chunk(3, 0, 100), chunk(7, 0, 500), chunk(1, 0, 1)];
+        let mbs = token_count_form(&work, 2);
+        assert!(
+            mbs.iter()
+                .filter(|m| m.chunks.iter().any(|c| c.request.0 == 7))
+                .count()
+                > 1,
+            "the former must split request 7"
+        );
+        let mut pos = Vec::new();
+        let per_req = aggregate_progress(&mbs, &mut pos);
+        assert_eq!(ids(&per_req), vec![(3, 100), (7, 500), (1, 1)]);
+        assert!(
+            pos.len() > 7 && pos.iter().all(|&p| p == 0),
+            "scratch reset"
+        );
+    }
+
+    #[test]
+    fn aggregate_folds_balanced_splits_and_reuses_scratch() {
+        let p = costmodel::CostParams::qwen14b_a800();
+        let work = vec![chunk(4, 100, 4096), chunk(0, 512, 1), chunk(9, 0, 700)];
+        let mbs = crate::former::balance_microbatches(&work, &p, 1024);
+        assert!(mbs.len() >= 2, "4K prefill must split at min=1K");
+        let mut pos = Vec::new();
+        let per_req = aggregate_progress(&mbs, &mut pos);
+        let mut expect = ids(&per_req);
+        expect.sort_unstable();
+        assert_eq!(expect, vec![(0, 1), (4, 4096), (9, 700)]);
+        let first_seen: Vec<usize> = mbs
+            .iter()
+            .flat_map(|m| &m.chunks)
+            .map(|c| c.request.0)
+            .fold(Vec::new(), |mut v, r| {
+                if !v.contains(&r) {
+                    v.push(r);
+                }
+                v
+            });
+        let order: Vec<usize> = per_req.iter().map(|&(r, _)| r.0).collect();
+        assert_eq!(order, first_seen);
+        assert!(pos.iter().all(|&p| p == 0), "scratch reset");
+        // A second, smaller iteration through the same scratch.
+        let again = aggregate_progress(&token_count_form(&[chunk(2, 0, 9)], 3), &mut pos);
+        assert_eq!(ids(&again), vec![(2, 9)]);
+        assert!(aggregate_progress(&[], &mut pos).is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use costmodel::ChunkWork;
 use sim_core::{EventQueue, SimDuration, SimTime};
 use workload::{RequestSpec, Trace};
 
-use crate::batch::{MicroBatch, SeqChunk};
+use crate::batch::{aggregate_progress, MicroBatch, SeqChunk};
 use crate::config::ClusterConfig;
 use crate::group::{GroupId, IterationPlan};
 use crate::pipeline::{schedule, StageTiming};
@@ -149,6 +149,8 @@ pub struct Engine<P: Policy> {
     groups_buf: Vec<GroupId>,
     /// Reused scratch buffer for decode-growth reservation.
     decodes_buf: Vec<RequestId>,
+    /// Reused position index for [`aggregate_progress`].
+    progress_pos: Vec<u32>,
     /// Set while an interactive session ([`Engine::begin_session`]) is
     /// accepting injections: the monitor-tick chain stays armed through
     /// lulls and the pump never stops on `finished == total`.
@@ -175,6 +177,7 @@ impl<P: Policy> Engine<P> {
             net_poll_at: None,
             groups_buf: Vec::new(),
             decodes_buf: Vec::new(),
+            progress_pos: Vec::new(),
             open: false,
             run_stop: None,
             last_arrival: SimTime::ZERO,
@@ -622,30 +625,10 @@ impl<P: Policy> Engine<P> {
 
         // Aggregate per-request token progress from the final microbatches
         // (a former may split one request's chunk across microbatches).
-        let mut per_req: Vec<(RequestId, u64)> = Vec::new();
-        for mb in &mbs {
-            for c in &mb.chunks {
-                match per_req.iter_mut().find(|(r, _)| *r == c.request) {
-                    Some((_, t)) => *t += c.work.new_tokens,
-                    None => per_req.push((c.request, c.work.new_tokens)),
-                }
-            }
-        }
+        let per_req = aggregate_progress(&mbs, &mut self.progress_pos);
         let new_tokens: u64 = per_req.iter().map(|&(_, t)| t).sum();
 
         let finish = start + makespan;
-        if std::env::var("KS_DEBUG_ITER").is_ok() && makespan > SimDuration::from_millis(100) {
-            let chunks = mbs.iter().flat_map(|m| m.chunks.iter());
-            let decodes = chunks.clone().filter(|c| c.work.new_tokens == 1).count();
-            let ptok: u64 = chunks
-                .filter(|c| c.work.new_tokens > 1)
-                .map(|c| c.work.new_tokens)
-                .sum();
-            eprintln!(
-                "[{}] big iter group{} stages={} mbs={} decodes={} prefill_tok={} makespan={} overhead={} bubble={:.2}",
-                self.now, group.0, stages, mbs.len(), decodes, ptok, makespan, overhead, bubble_frac
-            );
-        }
         let g = self.state.group_mut(group);
         g.iter_seq += 1;
         let seq = g.iter_seq;

@@ -27,6 +27,11 @@ pub struct GroupId(pub usize);
 #[derive(Debug, Clone)]
 pub struct IterationPlan {
     /// `(request, new_tokens)` pairs — prefill chunk sizes or 1 for decode.
+    ///
+    /// One entry per request, in order of first appearance across the
+    /// iteration's microbatches (see [`crate::batch::aggregate_progress`]).
+    /// Completion walks this order, so it sets the order in which requests
+    /// finish, record their metrics and return blocks to the free list.
     pub work: Vec<(RequestId, u64)>,
     /// When the iteration started.
     pub started: SimTime,

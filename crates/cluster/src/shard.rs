@@ -107,7 +107,7 @@ use sim_core::shard::{ConservativeClock, ShardId, SpecOutcome, SpecSequencer, St
 use sim_core::{EventQueue, SimDuration, SimTime};
 use workload::Trace;
 
-use crate::batch::MicroBatch;
+use crate::batch::{aggregate_progress, MicroBatch};
 use crate::config::ClusterConfig;
 use crate::engine::{collect_work, decode_tokens_per_iter, ReqRead};
 use crate::former::MicrobatchFormerSpec;
@@ -457,6 +457,9 @@ struct GroupRuntime {
     oom: Vec<RequestId>,
     /// Pending start-up overhead (VMM remap) moved in with the group.
     overhead: Option<SimDuration>,
+    /// Reused position index for [`aggregate_progress`]; per runtime so
+    /// concurrently running tasks never share it.
+    progress_pos: Vec<u32>,
 }
 
 impl GroupRuntime {
@@ -474,6 +477,7 @@ impl GroupRuntime {
             blocked: false,
             oom: Vec::new(),
             overhead: None,
+            progress_pos: Vec::new(),
         }
     }
 }
@@ -742,15 +746,7 @@ fn try_start(rt: &mut GroupRuntime, table: &ReqTable, ctx: &ReadCtx) {
     };
 
     // Aggregate per-request token progress from the final microbatches.
-    let mut per_req: Vec<(RequestId, u64)> = Vec::new();
-    for mb in &mbs {
-        for c in &mb.chunks {
-            match per_req.iter_mut().find(|(r, _)| *r == c.request) {
-                Some((_, t)) => *t += c.work.new_tokens,
-                None => per_req.push((c.request, c.work.new_tokens)),
-            }
-        }
-    }
+    let per_req = aggregate_progress(&mbs, &mut rt.progress_pos);
     let new_tokens: u64 = per_req.iter().map(|&(_, t)| t).sum();
 
     let finish = start + makespan;

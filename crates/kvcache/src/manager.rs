@@ -1,6 +1,7 @@
 //! The paged block manager.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::error::KvError;
 use crate::Result;
@@ -20,6 +21,31 @@ struct BlockTable {
     blocks: Vec<BlockId>,
     tokens: u64,
 }
+
+/// Hasher for the per-sequence tables: one rotate-xor-multiply per word
+/// (Fx-style). Keys are dense serving-layer ids, not adversarial input,
+/// so SipHash's flooding resistance buys nothing on this hot path; being
+/// unseeded, the hasher is also deterministic across processes.
+#[derive(Debug, Clone, Copy, Default)]
+struct SeqKeyHasher(u64);
+
+impl Hasher for SeqKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type SeqTables = HashMap<SeqKey, BlockTable, BuildHasherDefault<SeqKeyHasher>>;
 
 /// One cross-model loan's identity: the lending model plus the contiguous
 /// layer range of its parameters whose dropped bytes back the extent.
@@ -86,8 +112,11 @@ pub struct BlockManager {
     block_tokens: u32,
     next_free: u32,
     recycled: Vec<BlockId>,
-    tables: HashMap<SeqKey, BlockTable>,
+    tables: SeqTables,
     used: u32,
+    /// Tokens stored across all tables (kept in step with every table
+    /// change, so [`BlockManager::used_tokens`] is O(1)).
+    stored: u64,
 }
 
 impl BlockManager {
@@ -104,8 +133,9 @@ impl BlockManager {
             block_tokens,
             next_free: 0,
             recycled: Vec::new(),
-            tables: HashMap::new(),
+            tables: SeqTables::default(),
             used: 0,
+            stored: 0,
         }
     }
 
@@ -244,7 +274,7 @@ impl BlockManager {
 
     /// Tokens currently stored across all sequences.
     pub fn used_tokens(&self) -> u64 {
-        self.tables.values().map(|t| t.tokens).sum()
+        self.stored
     }
 
     /// Internal fragmentation: allocated slots minus stored tokens.
@@ -302,8 +332,11 @@ impl BlockManager {
                 free: self.free_blocks(),
             });
         }
-        let blocks = (0..needed).map(|_| self.take_block()).collect();
+        let blocks = (0..needed)
+            .map(|_| take_block(&mut self.used, &mut self.recycled, &mut self.next_free))
+            .collect();
         self.tables.insert(seq, BlockTable { blocks, tokens });
+        self.stored += tokens;
         Ok(())
     }
 
@@ -312,21 +345,22 @@ impl BlockManager {
     ///
     /// On [`KvError::OutOfBlocks`] the sequence is unchanged.
     pub fn append_tokens(&mut self, seq: SeqKey, n: u64) -> Result<u32> {
-        let table = self.tables.get(&seq).ok_or(KvError::UnknownSeq)?;
+        let free = self.free_blocks();
+        let table = self.tables.get_mut(&seq).ok_or(KvError::UnknownSeq)?;
         let new_total = table.tokens + n;
         let needed_total = new_total.div_ceil(self.block_tokens as u64) as u32;
-        let have = table.blocks.len() as u32;
-        let extra = needed_total.saturating_sub(have);
-        if extra > self.free_blocks() {
+        let extra = needed_total.saturating_sub(table.blocks.len() as u32);
+        if extra > free {
             return Err(KvError::OutOfBlocks {
                 needed: extra,
-                free: self.free_blocks(),
+                free,
             });
         }
-        let new_blocks: Vec<BlockId> = (0..extra).map(|_| self.take_block()).collect();
-        let table = self.tables.get_mut(&seq).expect("checked above");
-        table.blocks.extend(new_blocks);
+        table.blocks.extend(
+            (0..extra).map(|_| take_block(&mut self.used, &mut self.recycled, &mut self.next_free)),
+        );
         table.tokens = new_total;
+        self.stored += n;
         Ok(extra)
     }
 
@@ -334,6 +368,7 @@ impl BlockManager {
     pub fn free(&mut self, seq: SeqKey) -> Result<u64> {
         let table = self.tables.remove(&seq).ok_or(KvError::UnknownSeq)?;
         self.used -= table.blocks.len() as u32;
+        self.stored -= table.tokens;
         self.recycled.extend(table.blocks);
         Ok(table.tokens)
     }
@@ -386,17 +421,17 @@ impl BlockManager {
         keys.sort();
         keys
     }
+}
 
-    fn take_block(&mut self) -> BlockId {
-        self.used += 1;
-        if let Some(b) = self.recycled.pop() {
-            b
-        } else {
-            let b = BlockId(self.next_free);
-            self.next_free += 1;
-            b
-        }
-    }
+/// Hands out one block, recycled first. A free function over the pool's
+/// fields so callers can hold a table borrow while allocating.
+fn take_block(used: &mut u32, recycled: &mut Vec<BlockId>, next_free: &mut u32) -> BlockId {
+    *used += 1;
+    recycled.pop().unwrap_or_else(|| {
+        let b = BlockId(*next_free);
+        *next_free += 1;
+        b
+    })
 }
 
 #[cfg(test)]

@@ -23,8 +23,66 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Table-level operations for the token-total property: both admission
+/// paths (`allocate` for prompts, `adopt` for migrated/exchanged KV),
+/// decode growth and release, over sparse keys.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Allocate { seq: u64, tokens: u64 },
+    Adopt { seq: u64, tokens: u64 },
+    Append { seq: u64, tokens: u64 },
+    Free { seq: u64 },
+}
+
+/// Sparse sequence keys (a small offset plus a multiple of 2^20), so the
+/// table's hasher sees more than a dense run of small integers.
+fn key() -> impl Strategy<Value = u64> {
+    (0u64..12).prop_map(|k| ((k % 3) << 20) | k)
+}
+
+fn table_op_strategy() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        (key(), 0u64..400).prop_map(|(seq, tokens)| TableOp::Allocate { seq, tokens }),
+        (key(), 0u64..400).prop_map(|(seq, tokens)| TableOp::Adopt { seq, tokens }),
+        (key(), 0u64..3).prop_map(|(seq, tokens)| TableOp::Append { seq, tokens }),
+        (key(), 1u64..130).prop_map(|(seq, tokens)| TableOp::Append { seq, tokens }),
+        key().prop_map(|seq| TableOp::Free { seq }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The O(1) running token total never drifts from the per-table
+    /// counts, whichever operations succeed or fail.
+    #[test]
+    fn token_total_matches_the_tables(ops in proptest::collection::vec(table_op_strategy(), 1..200)) {
+        let block = 16u64;
+        let mut m = BlockManager::new(40, block as u32);
+        for op in ops {
+            let _ = match op {
+                TableOp::Allocate { seq, tokens } => m.allocate(SeqKey(seq), tokens).map(|_| 0),
+                TableOp::Adopt { seq, tokens } => m.adopt(SeqKey(seq), tokens).map(|_| 0),
+                TableOp::Append { seq, tokens } => m.append_tokens(SeqKey(seq), tokens),
+                TableOp::Free { seq } => m.free(SeqKey(seq)).map(|_| 0),
+            };
+            let seqs = m.seqs();
+            prop_assert_eq!(seqs.len(), m.num_seqs());
+            let tokens: u64 = seqs.iter().map(|&s| m.tokens_of(s).expect("live")).sum();
+            prop_assert_eq!(m.used_tokens(), tokens);
+            let blocks: u32 = seqs.iter().map(|&s| m.blocks_of(s).expect("live")).sum();
+            prop_assert_eq!(m.used_blocks(), blocks);
+            // Fragmentation is the per-table slack, summed.
+            prop_assert_eq!(
+                m.fragmentation_tokens(),
+                u64::from(blocks) * block - tokens
+            );
+            for &s in &seqs {
+                let (b, t) = (m.blocks_of(s).expect("live"), m.tokens_of(s).expect("live"));
+                prop_assert_eq!(u64::from(b), t.div_ceil(block));
+            }
+        }
+    }
 
     #[test]
     fn accounting_is_exact(ops in proptest::collection::vec(op_strategy(), 1..150)) {

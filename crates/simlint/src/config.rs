@@ -11,9 +11,10 @@ pub enum Scope {
     /// Determinism-critical simulation crates: the full D-rule and U-rule
     /// families apply.
     Sim,
-    /// The bench harness: wall-clock measurement is its job, so `D-TIME`
-    /// does not apply; ambient entropy (`D-RAND`) and unsafe hygiene still
-    /// do (benches must stay seeded for byte-identical lineups).
+    /// The bench harness: wall-clock measurement and harness knobs are its
+    /// job, so `D-TIME` and `D-ENV` do not apply; ambient entropy
+    /// (`D-RAND`) and unsafe hygiene still do (benches must stay seeded
+    /// for byte-identical lineups).
     Bench,
     /// Offline tooling (simlint itself): U-rules and `D-RAND` only.
     Tool,

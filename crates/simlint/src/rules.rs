@@ -12,6 +12,10 @@
 //!   pragma.
 //! - `D-TIME`: no `Instant`/`SystemTime` in simulation code — simulated
 //!   time comes from `SimTime` only.
+//! - `D-ENV`: no `std::env::var`/`var_os`/`vars`/`vars_os` in simulation
+//!   code — a run's behaviour comes from its config and seed, never from
+//!   the ambient environment (and each read takes the process-wide
+//!   environment lock and allocates, a cost a hot path pays per call).
 //! - `D-RAND`: no `thread_rng`/`from_entropy`/`OsRng` anywhere (tests and
 //!   benches included — lineups are byte-compared across runs).
 //! - `D-CAST`: every `as`-cast to an integer type in a designated metric
@@ -50,6 +54,8 @@ pub enum Rule {
     DMap,
     /// Wall-clock reads in simulation code.
     DTime,
+    /// Environment-variable reads in simulation code.
+    DEnv,
     /// Ambient entropy.
     DRand,
     /// Undocumented integer truncation in metric paths.
@@ -71,6 +77,7 @@ pub enum Rule {
 pub const ALL_RULES: &[Rule] = &[
     Rule::DMap,
     Rule::DTime,
+    Rule::DEnv,
     Rule::DRand,
     Rule::DCast,
     Rule::DSteal,
@@ -86,6 +93,7 @@ impl Rule {
         match self {
             Rule::DMap => "D-MAP",
             Rule::DTime => "D-TIME",
+            Rule::DEnv => "D-ENV",
             Rule::DRand => "D-RAND",
             Rule::DCast => "D-CAST",
             Rule::DSteal => "D-STEAL",
@@ -101,6 +109,7 @@ impl Rule {
         match self {
             Rule::DMap => "HashMap/HashSet in determinism-critical code without an audit",
             Rule::DTime => "wall-clock time (Instant/SystemTime) in simulation code",
+            Rule::DEnv => "environment-variable read (std::env::var*) in simulation code",
             Rule::DRand => "ambient entropy (thread_rng/from_entropy/OsRng)",
             Rule::DCast => "undocumented integer-truncating cast in a metric path",
             Rule::DSteal => "steal/speculation-path unsafe without an ownership-transfer argument",
@@ -170,6 +179,30 @@ const INT_TYPES: &[&str] = &[
 ];
 
 const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng"];
+
+const ENV_READ_IDENTS: &[&str] = &["var", "var_os", "vars", "vars_os"];
+
+/// The environment reader named by the path segment after the `env`
+/// token at `toks[i]`: `env::var`, or the first reader inside an
+/// `env::{..}` import group.
+fn env_read_after<'a>(toks: &[scan::Token<'a>], i: usize) -> Option<&'a str> {
+    let is = |k: usize, text: &str| toks.get(k).is_some_and(|t| t.text == text);
+    if !(is(i + 1, ":") && is(i + 2, ":")) {
+        return None;
+    }
+    let reader = |t: &scan::Token<'a>| {
+        (t.kind == TokKind::Ident && ENV_READ_IDENTS.contains(&t.text)).then_some(t.text)
+    };
+    let next = toks.get(i + 3)?;
+    if next.text == "{" {
+        toks[i + 4..]
+            .iter()
+            .take_while(|t| t.text != "}")
+            .find_map(reader)
+    } else {
+        reader(next)
+    }
+}
 
 /// A parsed suppression pragma: the rules it allows and the lines it
 /// covers (its own lines, plus the next line when standalone).
@@ -439,6 +472,21 @@ pub fn lint_classified(rel_path: &str, src: &str, class: FileClass) -> FileResul
                     ),
                 );
             }
+            "env" if deterministic_scope && !in_test => {
+                if let Some(reader) = env_read_after(toks, i) {
+                    emit(
+                        &mut out,
+                        &mut seen,
+                        Rule::DEnv,
+                        t.line,
+                        None,
+                        format!(
+                            "`env::{reader}` reads the process environment inside simulation \
+                             code; thread every knob through the run's config"
+                        ),
+                    );
+                }
+            }
             s if ENTROPY_IDENTS.contains(&s) => {
                 emit(
                     &mut out,
@@ -630,6 +678,31 @@ mod tests {
         };
         let res = lint_classified("crates/bench/src/x.rs", src, bench);
         assert_eq!(fired(&res, Rule::DTime), 0);
+    }
+
+    #[test]
+    fn d_env_fires_on_reads_only() {
+        let src = "\
+fn live() { let v = std::env::var(\"X\"); }
+use std::env::{self, var_os};
+fn args() -> Vec<String> { std::env::args().collect() }
+
+#[cfg(test)]
+mod tests {
+    fn gated() { let v = std::env::vars(); }
+}
+";
+        let res = lint_classified("crates/fake/src/a.rs", src, SIM);
+        assert_eq!(fired(&res, Rule::DEnv), 2);
+        let lines: Vec<u32> = res.diagnostics.iter().map(|d| d.line).collect();
+        assert_eq!(lines, vec![1, 2], "`env::args` is not a variable read");
+
+        let bench = FileClass {
+            scope: Scope::Bench,
+            ..SIM
+        };
+        let res = lint_classified("crates/bench/src/x.rs", src, bench);
+        assert_eq!(fired(&res, Rule::DEnv), 0);
     }
 
     #[test]

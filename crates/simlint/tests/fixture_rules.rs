@@ -104,6 +104,14 @@ fn sweep() -> Vec<(&'static str, FileResult)> {
             "u_file.rs @ sim",
             lint_classified("fixtures/u_file.rs", &fixture("u_file.rs"), SIM),
         ),
+        (
+            "d_env.rs @ sim",
+            lint_classified("fixtures/d_env.rs", &fixture("d_env.rs"), SIM),
+        ),
+        (
+            "d_env.rs @ bench",
+            lint_classified("crates/bench/src/fixture.rs", &fixture("d_env.rs"), BENCH),
+        ),
     ]
 }
 
@@ -129,6 +137,18 @@ fn d_time_fires_suppresses_and_scopes() {
 
     let res = &all[3].1;
     assert_eq!(counts(res, Rule::DTime), (0, 0, 0), "bench scope");
+}
+
+#[test]
+fn d_env_fires_suppresses_and_scopes() {
+    let all = sweep();
+    let res = &all[11].1;
+    assert_eq!(counts(res, Rule::DEnv), (2, 1, 0), "sim scope");
+    let lines: Vec<u32> = res.diagnostics.iter().map(|d| d.line).collect();
+    assert_eq!(lines, vec![6, 9], "the test-gated read stays quiet");
+
+    let res = &all[12].1;
+    assert_eq!(counts(res, Rule::DEnv), (0, 0, 0), "bench scope");
 }
 
 #[test]

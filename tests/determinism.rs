@@ -436,3 +436,57 @@ fn resilience_scenario_byte_identical_across_worker_counts() {
     assert_eq!(one_bytes, bytes(&run(2)), "2 workers must match 1");
     assert_eq!(one_bytes, bytes(&run(4)), "4 workers must match 1");
 }
+
+/// 64-bit FNV-1a: pins a report's Debug bytes in a short constant.
+fn fnv1a64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of a small pipelined KunServe burst's `RunReport` on the serial
+/// engine and on the sharded executor (the two executors schedule decode
+/// OOM differently, so each has its own constant). Any change to the
+/// simulated output changes these; re-record them only for an intended
+/// behaviour change.
+const PIPELINED_BURST_SERIAL_FNV: u64 = 0xb35e_3302_ce25_40b3;
+const PIPELINED_BURST_SHARDED_FNV: u64 = 0xf573_edfe_aec3_278b;
+
+fn pipelined_burst(workers: Option<usize>) -> RunOutcome {
+    let trace = trace_with_seed(0x601D);
+    // A tight KV pool so the burst throttles memory and KunServe drops.
+    let mut cfg = ClusterConfig::tiny_test(4);
+    cfg.reserve_frac = 0.45;
+    let mut run = Run::new(SystemKind::KunServe, cfg, &trace).drain(SimDuration::from_secs(600));
+    if let Some(workers) = workers {
+        run = run.sharded(ParallelConfig {
+            workers,
+            num_shards: 4,
+            lookahead: None,
+            speculation: false,
+        });
+    }
+    run.execute()
+}
+
+/// Output-neutrality guard for engine-iteration optimisations: the golden
+/// hashes must hold on both executors and at every worker count.
+#[test]
+fn pipelined_burst_matches_golden_report_hash() {
+    for (label, workers, golden) in [
+        ("serial", None, PIPELINED_BURST_SERIAL_FNV),
+        ("sharded x1", Some(1), PIPELINED_BURST_SHARDED_FNV),
+        ("sharded x2", Some(2), PIPELINED_BURST_SHARDED_FNV),
+    ] {
+        let out = pipelined_burst(workers);
+        assert!(
+            !out.state.metrics.reconfig_events.is_empty(),
+            "{label}: the burst must drive KunServe into pipelined groups"
+        );
+        let hash = fnv1a64(&format!("{:?}", out.report));
+        assert_eq!(
+            hash, golden,
+            "{label}: report hash {hash:#018x} differs from the golden {golden:#018x}"
+        );
+    }
+}
