@@ -29,6 +29,14 @@
 //! empty, steals from the backs of the other lanes. A skewed window —
 //! one hot group, everything else idle — therefore keeps every worker
 //! busy instead of serializing behind the hot group's home worker.
+//!
+//! `ParallelConfig::workers` counts the coordinator: it is worker 0 on
+//! lane 0, and the pool holds `workers - 1` helper threads. A window with
+//! `n` tasks wakes only `min(helpers, n - 1)` helpers — the tasks the
+//! coordinator cannot cover itself — so a one-task window never touches
+//! a channel. The coordinator then drains and steals like any worker and
+//! waits only for the results of tasks a helper ran.
+//!
 //! Stealing moves only *where* a task runs, never what it computes, and
 //! results are merged at the barrier in deterministic
 //! `(time, home lane, slot, sequence)` order, so reports stay
@@ -70,9 +78,13 @@
 //! - within a window, a task's work depends only on its own group state
 //!   (the group, its requests, its RNG stream) — stealing merely decides
 //!   *where* a task runs, not what it computes;
+//! - which thread runs a task — the coordinator or a helper, home pop or
+//!   steal — and how many helpers a window wakes never reach a task's
+//!   inputs;
 //! - at barriers, task results (metric logs, completion counts, deferred
 //!   policy flags) are merged in `(time, home lane, slot, sequence)`
-//!   order;
+//!   order: a k-way merge of the per-slot logs, each already time-ordered
+//!   because a task's clock never runs backwards ([`merge_slot_logs`]);
 //! - speculation commits are decided by the structural epoch, a pure
 //!   function of simulated state.
 //!
@@ -89,10 +101,12 @@
 //! link model instead of sharing `netsim` links with bulk traffic. Both
 //! executors are individually deterministic; compare like with like.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 // simlint: allow(D-MAP) — audit: every map in this module is keyed lookup
 // only (see the per-site pragmas); nothing iterates one.
 use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 #[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -122,8 +136,11 @@ use workload::RequestSpec;
 /// Configuration of the sharded executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker threads advancing group tasks (1 = run tasks inline on the
-    /// coordinator thread). Affects wall-clock only, never results.
+    /// Threads advancing group tasks, counting the coordinator: the pool
+    /// starts `workers - 1` helpers, and a window wakes only as many as
+    /// it has tasks the coordinator cannot cover itself (1 = run every
+    /// task inline on the coordinator thread). Affects wall-clock only,
+    /// never results.
     pub workers: usize,
     /// Number of steal lanes (shards). `0` = auto: one lane per initial
     /// execution group, capped at 8. **Must not** be derived from
@@ -217,6 +234,48 @@ enum MetricEvent {
     Bubble(SimTime, f64),
 }
 
+/// Key of one per-slot log head in the barrier merge:
+/// `(time, home lane, slot, index into the slot's log)`.
+type MergeKey = (SimTime, usize, usize, usize);
+
+/// Merges one window's per-slot logs into `emit` in
+/// `(time, home lane, slot, sequence)` order — the order a stable sort of
+/// every entry by that key yields, without copying or sorting: each log
+/// is already time-ordered (a task's clock never runs backwards), so a
+/// k-way merge over the log heads suffices. `log_of(slot)` returns the
+/// slot's home lane and log; `heap` is scratch, empty on entry and exit.
+fn merge_slot_logs<'a, E: Copy + 'a>(
+    heap: &mut BinaryHeap<Reverse<MergeKey>>,
+    slots: &[usize],
+    log_of: impl Fn(usize) -> (usize, &'a [(SimTime, E)]),
+    mut emit: impl FnMut(E),
+) {
+    debug_assert!(heap.is_empty(), "merge heap is scratch");
+    for &slot in slots {
+        let (home, log) = log_of(slot);
+        debug_assert!(
+            log.windows(2).all(|w| w[0].0 <= w[1].0),
+            "slot {slot}: metric log is not time-ordered"
+        );
+        if let Some(&(t, _)) = log.first() {
+            heap.push(Reverse((t, home, slot, 0)));
+        }
+    }
+    while let Some(mut head) = heap.peek_mut() {
+        let Reverse((_, home, slot, i)) = *head;
+        let (_, log) = log_of(slot);
+        emit(log[i].1);
+        match log.get(i + 1) {
+            // Replacing the head in place sifts once instead of a
+            // pop-then-push.
+            Some(&(t, _)) => *head = Reverse((t, home, slot, i + 1)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+}
+
 /// Read-only context shared with every worker: configuration and the
 /// fitted/ground-truth execution models, cloned once per run.
 struct ReadCtx {
@@ -283,8 +342,10 @@ impl LocalLinks {
 ///   `requests.as_mut_ptr()` at every barrier, and sessions only inject
 ///   (grow the `Vec`) between windows, never while one is in flight.
 ///
-/// The coordinator never touches `ClusterState::requests` while a window
-/// is in flight (it blocks collecting task results first).
+/// While a window is in flight the coordinator touches
+/// `ClusterState::requests` only through the tasks it runs itself as
+/// worker 0, under the same contract; it collects every helper result
+/// before the barrier resumes.
 ///
 /// Debug builds additionally *check* the contract at runtime: every
 /// dereference is recorded in a shadow-ownership table
@@ -460,6 +521,10 @@ struct GroupRuntime {
     /// Reused position index for [`aggregate_progress`]; per runtime so
     /// concurrently running tasks never share it.
     progress_pos: Vec<u32>,
+    /// Reused scratch for decode-growth reservation (the in-decode
+    /// running requests, and those skipping this iteration on OOM).
+    decodes: Vec<RequestId>,
+    skipped: Vec<RequestId>,
 }
 
 impl GroupRuntime {
@@ -478,6 +543,8 @@ impl GroupRuntime {
             oom: Vec::new(),
             overhead: None,
             progress_pos: Vec::new(),
+            decodes: Vec::new(),
+            skipped: Vec::new(),
         }
     }
 }
@@ -639,20 +706,23 @@ fn try_start(rt: &mut GroupRuntime, table: &ReqTable, ctx: &ReadCtx) {
         let g = rt.group.as_ref().expect("group checked out");
         decode_tokens_per_iter(g.stages(), &ctx.cfg)
     };
-    let decodes: Vec<RequestId> = rt
-        .group
-        .as_ref()
-        .expect("group checked out")
-        .running
-        .iter()
-        .copied()
-        // SAFETY: `r` runs on this task's own group, whose requests this
-        // task owns this window; the reference is dropped within the
-        // closure.
-        .filter(|&r| unsafe { table.req(r) }.in_decode())
-        .collect();
-    let mut skipped: Vec<RequestId> = Vec::new();
-    for r in decodes {
+    let mut decodes = std::mem::take(&mut rt.decodes);
+    decodes.clear();
+    decodes.extend(
+        rt.group
+            .as_ref()
+            .expect("group checked out")
+            .running
+            .iter()
+            .copied()
+            // SAFETY: `r` runs on this task's own group, whose requests
+            // this task owns this window; the reference is dropped within
+            // the closure.
+            .filter(|&r| unsafe { table.req(r) }.in_decode()),
+    );
+    let mut skipped = std::mem::take(&mut rt.skipped);
+    skipped.clear();
+    for r in decodes.drain(..) {
         let (state_ok, want) = {
             // SAFETY: `r` runs on this task's own group, whose requests
             // this task owns this window; the reference does not escape
@@ -672,6 +742,7 @@ fn try_start(rt: &mut GroupRuntime, table: &ReqTable, ctx: &ReadCtx) {
             skipped.push(r);
         }
     }
+    rt.decodes = decodes;
 
     // Collect this iteration's work — the exact logic the serial engine
     // uses, shared through `engine::collect_work`.
@@ -681,6 +752,7 @@ fn try_start(rt: &mut GroupRuntime, table: &ReqTable, ctx: &ReadCtx) {
         &ctx.cfg,
         &skipped,
     );
+    rt.skipped = skipped;
     if work.is_empty() {
         return;
     }
@@ -884,10 +956,12 @@ impl SpecPending {
     }
 }
 
-/// The worker threads of one sharded session: long-lived, parked on a
+/// The helper threads of one sharded session: long-lived, parked on a
 /// per-window go-channel, and joined when the session closes (or the
-/// engine drops). One `()` on a worker's channel means "a window's tasks
-/// are published — drain your home lane, then steal".
+/// engine drops). The coordinator is worker 0 and runs window tasks
+/// itself, so a pool for `workers` threads holds `workers - 1` helpers.
+/// One `()` on a helper's channel means "a window's tasks are published —
+/// drain your home lane, then steal".
 struct WorkerPool {
     go_txs: Vec<mpsc::Sender<()>>,
     results: mpsc::Receiver<Box<GroupRuntime>>,
@@ -895,6 +969,9 @@ struct WorkerPool {
 }
 
 impl WorkerPool {
+    /// Starts `workers - 1` helpers, helper `w` homed on lane
+    /// `w % num_shards` for `w` in `1..workers`; lane 0 is the
+    /// coordinator's.
     fn spawn(
         workers: usize,
         num_shards: usize,
@@ -902,9 +979,10 @@ impl WorkerPool {
         ctx: &Arc<ReadCtx>,
     ) -> Self {
         let (result_tx, results) = mpsc::channel::<Box<GroupRuntime>>();
-        let mut go_txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
+        let helpers = workers.saturating_sub(1);
+        let mut go_txs = Vec::with_capacity(helpers);
+        let mut handles = Vec::with_capacity(helpers);
+        for w in 1..workers {
             let (tx, rx) = mpsc::channel::<()>();
             go_txs.push(tx);
             let result_tx = result_tx.clone();
@@ -912,8 +990,9 @@ impl WorkerPool {
             let ctx = Arc::clone(ctx);
             let home = w % num_shards;
             handles.push(std::thread::spawn(move || {
-                // One `()` per window: drain the home lane, then
-                // steal from the others until the window is dry.
+                // One `()` per wake: drain the home lane, then steal from
+                // the others until the window is dry. A late wake may
+                // find the window already drained; it then parks again.
                 while rx.recv().is_ok() {
                     while let Some((_, mut task)) = deques.pop(home) {
                         run_window(&mut task.rt, &task.table, &ctx, task.w_end);
@@ -928,6 +1007,35 @@ impl WorkerPool {
             go_txs,
             results,
             handles,
+        }
+    }
+
+    /// Runs one published window of `tasks` tasks to completion and
+    /// returns every runtime to `runtimes`. Wakes only the helpers the
+    /// coordinator cannot cover itself (`min(helpers, tasks - 1)`), then
+    /// works lane 0 as worker 0 and collects the helpers' results.
+    fn run_tasks(
+        &self,
+        tasks: usize,
+        deques: &StealDeques<SlotTask>,
+        ctx: &ReadCtx,
+        runtimes: &mut [Option<Box<GroupRuntime>>],
+    ) {
+        let wake = self.go_txs.len().min(tasks.saturating_sub(1));
+        for tx in &self.go_txs[..wake] {
+            tx.send(()).expect("helper alive");
+        }
+        let mut ran = 0;
+        while let Some((_, mut task)) = deques.pop(0) {
+            run_window(&mut task.rt, &task.table, ctx, task.w_end);
+            let slot = task.rt.slot;
+            runtimes[slot] = Some(task.rt);
+            ran += 1;
+        }
+        for _ in ran..tasks {
+            let rt = self.results.recv().expect("helper result");
+            let slot = rt.slot;
+            runtimes[slot] = Some(rt);
         }
     }
 }
@@ -952,8 +1060,9 @@ impl Drop for WorkerPool {
 struct SessionCore {
     ctx: Arc<ReadCtx>,
     deques: Arc<StealDeques<SlotTask>>,
-    /// `Some` with ≥ 2 workers; `None` runs windows inline (and is the
-    /// path whose results every worker count must reproduce).
+    /// `Some` with ≥ 2 workers (the coordinator plus its helpers); `None`
+    /// runs windows inline (and is the path whose results every worker
+    /// count must reproduce).
     pool: Option<WorkerPool>,
     runtimes: Vec<Option<Box<GroupRuntime>>>,
     global: EventQueue<GlobalEvent>,
@@ -971,8 +1080,10 @@ struct SessionCore {
     /// The optimistic hook pipeline: at most one batch in flight,
     /// resolved at the barrier after its launch.
     spec: SpecSequencer<SpecInflight>,
-    /// Merge buffer, reused across windows.
-    events: Vec<(SimTime, usize, usize, usize, MetricEvent)>,
+    /// The window's runnable group slots, reused across windows.
+    to_run: Vec<usize>,
+    /// The k-way merge heap over per-slot logs, reused across windows.
+    merge_heap: BinaryHeap<Reverse<MergeKey>>,
     /// Whether any barrier action since the last plan scrub may have
     /// moved requests across groups (ticks, hooks, transfers, reconfigs,
     /// cancels, session mutations). Windows themselves never move
@@ -1067,6 +1178,16 @@ impl<P: Policy> ShardedEngine<P> {
         self.state
     }
 
+    /// The read-only context every task of a session shares.
+    fn read_ctx(&self) -> ReadCtx {
+        ReadCtx {
+            cfg: self.state.cfg.clone(),
+            ground_truths: self.state.ground_truths.clone(),
+            cost_models: self.state.cost_models.clone(),
+            former: self.policy.microbatch_former(),
+        }
+    }
+
     /// Runs `trace` to completion (or until `drain` past the last
     /// arrival), advancing group tasks on `workers` threads.
     pub fn run(&mut self, trace: &Trace, drain: SimDuration) -> RunReport {
@@ -1110,12 +1231,7 @@ impl<P: Policy> ShardedEngine<P> {
             self.state.requests.is_empty(),
             "sessions require a fresh engine"
         );
-        let ctx = Arc::new(ReadCtx {
-            cfg: self.state.cfg.clone(),
-            ground_truths: self.state.ground_truths.clone(),
-            cost_models: self.state.cost_models.clone(),
-            former: self.policy.microbatch_former(),
-        });
+        let ctx = Arc::new(self.read_ctx());
         let deques: Arc<StealDeques<SlotTask>> = Arc::new(StealDeques::new(self.num_shards));
         let workers = self.pcfg.workers.max(1);
         let pool =
@@ -1137,7 +1253,8 @@ impl<P: Policy> ShardedEngine<P> {
             clk: ConservativeClock::new(self.num_shards, self.lookahead),
             b: SimTime::ZERO,
             spec: SpecSequencer::new(),
-            events: Vec::new(),
+            to_run: Vec::new(),
+            merge_heap: BinaryHeap::new(),
             dirty: true,
             open: true,
             run_stop: None,
@@ -1602,7 +1719,7 @@ impl<P: Policy> ShardedEngine<P> {
             // Select runnable group slots: pending local events this
             // window or a startable group. Each becomes one work item.
             let slots = self.state.group_slots().max(s.runtimes.len());
-            let mut to_run: Vec<usize> = Vec::new();
+            s.to_run.clear();
             for slot in 0..slots {
                 let gid = GroupId(slot);
                 if !self.state.group_alive(gid) {
@@ -1616,7 +1733,7 @@ impl<P: Policy> ShardedEngine<P> {
                     .is_some_and(|t| t < w_end);
                 if has_events || self.slot_startable(gid) {
                     runtime_for(&mut s.runtimes, slot, num_shards, fabric);
-                    to_run.push(slot);
+                    s.to_run.push(slot);
                 }
             }
 
@@ -1625,7 +1742,7 @@ impl<P: Policy> ShardedEngine<P> {
             // the earliest deferred local event — skip the empty
             // lookahead-sized windows and move the barrier straight
             // there.
-            if to_run.is_empty() {
+            if s.to_run.is_empty() {
                 let mut jump = s
                     .run_stop
                     .map_or(SimTime::MAX, |hs| hs + SimDuration::from_micros(1));
@@ -1651,17 +1768,10 @@ impl<P: Policy> ShardedEngine<P> {
                 }
             }
 
-            // Idle runtimes observe the barrier passing.
-            for rt in s.runtimes.iter_mut().flatten() {
-                if !to_run.contains(&rt.slot) {
-                    rt.clock = rt.clock.max(w_end);
-                }
-            }
-
-            if !to_run.is_empty() {
+            if !s.to_run.is_empty() {
                 // Check the groups (and their pending overheads) out of
                 // the cluster state, into their runtimes.
-                for &slot in &to_run {
+                for &slot in &s.to_run {
                     let gid = GroupId(slot);
                     let rt = s.runtimes[slot].as_mut().expect("runtime ensured");
                     rt.clock = b.max(rt.clock);
@@ -1691,7 +1801,7 @@ impl<P: Policy> ShardedEngine<P> {
                 };
                 // Publish the window's work items to their home lanes in
                 // slot order, then let the workers race over them.
-                for &slot in &to_run {
+                for &slot in &s.to_run {
                     let rt = s.runtimes[slot].take().expect("runtime ensured");
                     let lane = rt.home;
                     s.deques.push(
@@ -1714,28 +1824,16 @@ impl<P: Policy> ShardedEngine<P> {
                         }
                     }
                     Some(pool) => {
-                        for tx in &pool.go_txs {
-                            tx.send(()).expect("worker alive");
-                        }
-                        for _ in 0..to_run.len() {
-                            let rt = pool.results.recv().expect("worker result");
-                            let slot = rt.slot;
-                            s.runtimes[slot] = Some(rt);
-                        }
+                        pool.run_tasks(s.to_run.len(), &s.deques, &s.ctx, &mut s.runtimes)
                     }
                 }
 
                 // --- Merge (deterministic: `(time, home lane, slot,
                 //     sequence)` order, independent of who ran what). ---
-                s.events.clear();
-                for &slot in &to_run {
+                for &slot in &s.to_run {
                     let rt = s.runtimes[slot].as_mut().expect("present");
                     self.state
                         .put_group(rt.group.take().expect("group checked out"));
-                    let home = rt.home;
-                    for (i, (t, ev)) in rt.log.drain(..).enumerate() {
-                        s.events.push((t, home, slot, i, ev));
-                    }
                     s.finished += rt.finished;
                     rt.finished = 0;
                     if rt.blocked {
@@ -1745,20 +1843,37 @@ impl<P: Policy> ShardedEngine<P> {
                     s.flags_oom
                         .extend(rt.oom.drain(..).map(|r| (GroupId(slot), r)));
                 }
-                s.events.sort_by_key(|e| (e.0, e.1, e.2, e.3));
-                for &(_, _, _, _, ev) in &s.events {
-                    match ev {
-                        MetricEvent::FirstToken(r, t) => self.state.metrics.on_first_token(r, t),
+                let runtimes = &s.runtimes;
+                let state = &mut self.state;
+                merge_slot_logs(
+                    &mut s.merge_heap,
+                    &s.to_run,
+                    |slot| {
+                        let rt = runtimes[slot].as_deref().expect("present");
+                        (rt.home, rt.log.as_slice())
+                    },
+                    |ev| match ev {
+                        MetricEvent::FirstToken(r, t) => state.metrics.on_first_token(r, t),
                         MetricEvent::Finished(r, t) => {
-                            let met = self.state.requests[r.0].deadline_met_at(t);
-                            self.state.metrics.on_finish_outcome(met);
-                            self.state.metrics.on_finished(r, t)
+                            let met = state.requests[r.0].deadline_met_at(t);
+                            state.metrics.on_finish_outcome(met);
+                            state.metrics.on_finished(r, t)
                         }
-                        MetricEvent::Tokens(t, n) => self.state.metrics.on_tokens(t, n),
-                        MetricEvent::Iteration(t, d) => self.state.metrics.iterations.push(t, d),
-                        MetricEvent::Bubble(t, f) => self.state.metrics.bubbles.push(t, f),
-                    }
+                        MetricEvent::Tokens(t, n) => state.metrics.on_tokens(t, n),
+                        MetricEvent::Iteration(t, d) => state.metrics.iterations.push(t, d),
+                        MetricEvent::Bubble(t, f) => state.metrics.bubbles.push(t, f),
+                    },
+                );
+                for &slot in &s.to_run {
+                    s.runtimes[slot].as_mut().expect("present").log.clear();
                 }
+            }
+
+            // Idle runtimes observe the barrier passing. A runtime that
+            // ran this window already stands at or past `w_end`, so the
+            // update is a no-op for it and needs no membership test.
+            for rt in s.runtimes.iter_mut().flatten() {
+                rt.clock = rt.clock.max(w_end);
             }
 
             for sh in 0..num_shards {
@@ -2191,5 +2306,96 @@ mod tests {
         assert_eq!(report.cancelled_requests, 1);
         assert_eq!(report.finished_requests, 1);
         assert_eq!(eng.state.requests[survivor.0].state, ReqState::Finished);
+    }
+
+    #[test]
+    fn pool_spawns_one_helper_fewer_than_workers() {
+        let eng = ShardedEngine::new(ClusterConfig::tiny_test(4), QueueingPolicy, pcfg(1));
+        let ctx = Arc::new(eng.read_ctx());
+        let deques = Arc::new(StealDeques::new(4));
+        for workers in [2, 3, 4, 8] {
+            let pool = WorkerPool::spawn(workers, 4, &deques, &ctx);
+            assert_eq!(pool.handles.len(), workers - 1, "{workers} workers");
+            assert_eq!(pool.go_txs.len(), workers - 1, "{workers} workers");
+        }
+    }
+
+    /// One slot's log in the merge tests: `(home lane, slot, entries)`.
+    type SlotLog = (usize, usize, Vec<(SimTime, u32)>);
+
+    /// The reference the merge replaced: copy every entry out with its
+    /// `(time, home lane, slot, sequence)` key and stable-sort by it.
+    fn sorted_reference(logs: &[SlotLog]) -> Vec<u32> {
+        let mut all: Vec<(SimTime, usize, usize, usize, u32)> = logs
+            .iter()
+            .flat_map(|(home, slot, log)| {
+                log.iter()
+                    .enumerate()
+                    .map(move |(i, &(t, ev))| (t, *home, *slot, i, ev))
+            })
+            .collect();
+        all.sort_by_key(|e| (e.0, e.1, e.2, e.3));
+        all.into_iter().map(|e| e.4).collect()
+    }
+
+    fn merged(logs: &[SlotLog], order: &[usize]) -> Vec<u32> {
+        let slots: Vec<usize> = order.iter().map(|&k| logs[k].1).collect();
+        let mut heap = BinaryHeap::new();
+        let mut out = Vec::new();
+        merge_slot_logs(
+            &mut heap,
+            &slots,
+            |slot| {
+                let (home, _, log) = logs.iter().find(|l| l.1 == slot).expect("known slot");
+                (*home, log.as_slice())
+            },
+            |ev| out.push(ev),
+        );
+        assert!(heap.is_empty(), "the merge leaves its scratch empty");
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The k-way merge yields exactly the old full sort's sequence.
+        /// Timestamps come from a tiny range so they collide across slots
+        /// and lanes, and the slots are handed over in a rotated order.
+        #[test]
+        fn merge_matches_the_stable_sort(
+            raw in proptest::collection::vec(proptest::collection::vec(0u64..6, 0..10), 1..9),
+            lanes in 1usize..5,
+            rot in 0usize..9,
+        ) {
+            let logs: Vec<SlotLog> = raw
+                .iter()
+                .enumerate()
+                .map(|(k, times)| {
+                    let slot = 3 * k + 1;
+                    let mut times = times.clone();
+                    times.sort_unstable();
+                    let log = times
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &t)| (SimTime::from_micros(t), (slot * 100 + i) as u32))
+                        .collect();
+                    (slot % lanes, slot, log)
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..logs.len()).collect();
+            order.rotate_left(rot % logs.len());
+            proptest::prop_assert_eq!(merged(&logs, &order), sorted_reference(&logs));
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not time-ordered")]
+    fn merge_rejects_an_unordered_log() {
+        let log = vec![
+            (SimTime::from_micros(2), 0u32),
+            (SimTime::from_micros(1), 1),
+        ];
+        merged(&[(0, 0, log)], &[0]);
     }
 }

@@ -231,6 +231,53 @@ fn skewed_load_forces_steals_and_stays_byte_identical() {
     assert_eq!(bytes(&one), bytes(&four), "4 workers must match 1");
 }
 
+/// The one-hot matrix (the `shard_window` bench's workload): four group
+/// slots, but every request targets model 0, so each window has at most
+/// one task. Such a window wakes no helper; the coordinator runs the task
+/// from its own lane 0 (slot 0's home), so no worker count ever steals,
+/// and the report stays byte-identical across 1/2/4 workers.
+#[test]
+fn one_task_windows_never_wake_a_helper_and_stay_byte_identical() {
+    let trace = BurstTraceBuilder::new(Dataset::BurstGpt)
+        .base_rps(25.0)
+        .duration(SimDuration::from_secs(8))
+        .burst(SimTime::from_secs(2), SimDuration::from_secs(2), 2.0)
+        .seed(42)
+        .build();
+    let run = |workers: usize| {
+        Run::with_policy(
+            "queueing",
+            Box::new(cluster::QueueingPolicy),
+            ClusterConfig::tiny_many_models(1, 3),
+            &trace,
+        )
+        .drain(SimDuration::from_secs(300))
+        .sharded(ParallelConfig {
+            workers,
+            num_shards: 4,
+            lookahead: None,
+            speculation: false,
+        })
+        .execute()
+    };
+    let one = run(1);
+    let one_bytes = format!("{:?}", one.report);
+    assert!(one.report.finished_requests > 0, "the hot model serves");
+    for workers in [2, 4] {
+        let out = run(workers);
+        assert_eq!(
+            out.stats.expect("sharded stats").steals,
+            0,
+            "{workers} workers: a one-task window runs on the coordinator's lane"
+        );
+        assert_eq!(
+            one_bytes,
+            format!("{:?}", out.report),
+            "{workers} workers must match 1"
+        );
+    }
+}
+
 /// The speculation matrix: KunServe (the one policy with a
 /// `plan_deferred`) with `speculation: true` must stay byte-identical
 /// across 1/2/4 workers — the commit/fallback decision is a pure function
