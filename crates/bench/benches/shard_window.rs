@@ -79,10 +79,8 @@ fn balanced_case(seconds: u64) -> Case {
 
 fn pcfg(workers: usize) -> ParallelConfig {
     ParallelConfig {
-        workers,
         num_shards: 4,
-        lookahead: None,
-        speculation: false,
+        ..ParallelConfig::with_workers(workers)
     }
 }
 

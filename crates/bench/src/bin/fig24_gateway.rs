@@ -267,10 +267,8 @@ fn main() {
     let threads = harness::threads_from_args(&args);
     let setup = if smoke { smoke_setup() } else { full_setup() };
     let pcfg = |workers| ParallelConfig {
-        workers,
         num_shards: 4,
-        lookahead: None,
-        speculation: false,
+        ..ParallelConfig::with_workers(workers)
     };
     let arms: Vec<(&str, Option<ParallelConfig>)> = vec![
         ("gateway (serial)", None),

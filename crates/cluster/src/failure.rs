@@ -28,7 +28,7 @@ use crate::batch::{MicroBatch, SeqChunk};
 use crate::former::MicrobatchFormerSpec;
 use crate::group::GroupId;
 use crate::instance::InstanceId;
-use crate::policy::{DeferredHooks, HookPlan, OomResolution, Policy, SpecJob, TransferEvent};
+use crate::policy::{OomResolution, Policy, TransferEvent};
 use crate::request::RequestId;
 use crate::state::ClusterState;
 
@@ -331,19 +331,6 @@ impl<P: Policy> Policy for FailureInjector<P> {
 
     fn on_transfer_done(&mut self, state: &mut ClusterState, now: SimTime, event: &TransferEvent) {
         self.inner.on_transfer_done(state, now, event);
-    }
-
-    fn plan_deferred(
-        &mut self,
-        state: &ClusterState,
-        now: SimTime,
-        hooks: &DeferredHooks,
-    ) -> Option<SpecJob> {
-        self.inner.plan_deferred(state, now, hooks)
-    }
-
-    fn commit_deferred(&mut self, state: &mut ClusterState, now: SimTime, plan: HookPlan) {
-        self.inner.commit_deferred(state, now, plan);
     }
 }
 

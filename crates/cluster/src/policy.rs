@@ -97,8 +97,7 @@ pub enum OomResolution {
 /// One window's barrier-deferred reactive hook flags, in deterministic
 /// order: `blocked` groups sorted and deduplicated, `oom` entries sorted by
 /// `(group, request)`. This is exactly the input the serial barrier arms
-/// feed to [`Policy::on_admission_blocked`] / [`Policy::on_decode_oom`];
-/// the speculative path hands the same batch to [`Policy::plan_deferred`].
+/// feed to [`Policy::on_admission_blocked`] / [`Policy::on_decode_oom`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeferredHooks {
     /// Groups whose head-of-line admission failed during the window.
@@ -107,48 +106,15 @@ pub struct DeferredHooks {
     pub oom: Vec<(GroupId, RequestId)>,
 }
 
-impl DeferredHooks {
-    /// Whether the window raised no reactive flags at all.
-    pub fn is_empty(&self) -> bool {
-        self.blocked.is_empty() && self.oom.is_empty()
-    }
-}
+/// Opaque placeholder kept so existing [`Policy::commit_deferred`]
+/// overrides still compile. Nothing constructs one.
+#[derive(Debug)]
+pub struct HookPlan(());
 
-/// An opaque, policy-owned speculative hook plan plus the structural epoch
-/// of the snapshot it was computed from. Produced by a [`SpecJob`], applied
-/// by [`Policy::commit_deferred`] once the executor has validated that no
-/// conflicting structural mutation happened in between.
-pub struct HookPlan {
-    /// [`ClusterState::structural_epoch`] at snapshot time.
-    pub base_epoch: u64,
-    /// The policy's plan payload; only the policy that produced it knows
-    /// the concrete type.
-    pub payload: Box<dyn std::any::Any + Send>,
-}
-
-impl std::fmt::Debug for HookPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HookPlan")
-            .field("base_epoch", &self.base_epoch)
-            .finish_non_exhaustive()
-    }
-}
-
-/// An owned speculative computation: a pure function of the snapshot it
-/// captured, safe to run on any worker thread while the next window is in
-/// flight. It must **not** touch [`ClusterState`] — the executor may be
-/// mutating requests concurrently — which the `Send + 'static` bound
-/// enforces structurally (the closure can only capture owned data).
-pub struct SpecJob {
-    /// The deferred planning computation.
-    pub run: Box<dyn FnOnce() -> HookPlan + Send + 'static>,
-}
-
-impl std::fmt::Debug for SpecJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SpecJob { .. }")
-    }
-}
+/// Opaque placeholder kept so existing [`Policy::plan_deferred`]
+/// overrides still compile. Nothing constructs one.
+#[derive(Debug)]
+pub struct SpecJob(());
 
 /// A serving policy: hooks invoked by the engine at decision points.
 ///
@@ -226,16 +192,9 @@ pub trait Policy {
     ) {
     }
 
-    /// Optimistic barrier hooks, part 1: turn one window's deferred flags
-    /// into an owned [`SpecJob`] the executor races against the *next*
-    /// window. The job's expensive pure planning (e.g. KunServe's drop
-    /// arbitration) runs off the critical path; the cheap state reads
-    /// needed to build its snapshot happen here, serially, against the
-    /// fully reassembled barrier state.
-    ///
-    /// Returning `None` (the default) keeps the policy on the exact serial
-    /// hook path — speculation is strictly opt-in per policy *and* per
-    /// [`ParallelConfig`](crate::ParallelConfig).
+    /// Retained for source compatibility only: no executor calls it.
+    /// Barrier-deferred hooks always run through
+    /// [`Policy::on_admission_blocked`] and [`Policy::on_decode_oom`].
     fn plan_deferred(
         &mut self,
         _state: &ClusterState,
@@ -245,13 +204,7 @@ pub trait Policy {
         None
     }
 
-    /// Optimistic barrier hooks, part 2: apply a validated [`HookPlan`] at
-    /// the barrier following its launch. Only called when the structural
-    /// epoch is unchanged since [`Policy::plan_deferred`] built the
-    /// snapshot; otherwise the executor discards the plan and re-runs the
-    /// saved [`DeferredHooks`] through the classic serial arms instead.
-    /// The commit decision is a pure function of simulated state, so the
-    /// result is byte-identical at any worker count.
+    /// Retained for source compatibility only: no executor calls it.
     fn commit_deferred(&mut self, _state: &mut ClusterState, _now: SimTime, _plan: HookPlan) {}
 }
 
@@ -311,18 +264,5 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
 
     fn on_transfer_done(&mut self, state: &mut ClusterState, now: SimTime, event: &TransferEvent) {
         (**self).on_transfer_done(state, now, event)
-    }
-
-    fn plan_deferred(
-        &mut self,
-        state: &ClusterState,
-        now: SimTime,
-        hooks: &DeferredHooks,
-    ) -> Option<SpecJob> {
-        (**self).plan_deferred(state, now, hooks)
-    }
-
-    fn commit_deferred(&mut self, state: &mut ClusterState, now: SimTime, plan: HookPlan) {
-        (**self).commit_deferred(state, now, plan)
     }
 }

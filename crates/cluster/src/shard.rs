@@ -1,7 +1,5 @@
 //! The sharded parallel executor: per-group event queues advanced by a
-//! work-stealing worker pool under a conservative time-sync barrier, with
-//! optional speculative (optimistic) execution of barrier-deferred policy
-//! hooks.
+//! work-stealing worker pool under a conservative time-sync barrier.
 //!
 //! # Execution model
 //!
@@ -16,10 +14,10 @@
 //! RNG stream and a private metric log. All **cross-group** interactions
 //! are deferred to the *barrier* at the window boundary, where the
 //! coordinator holds the whole `ClusterState` exclusively and runs, in
-//! order: monitor ticks (policy decisions), speculative-hook resolution,
-//! deferred admission-blocked / decode-OOM policy hooks, network-transfer
-//! completions, reconfigurations (merge/split), and arrival dispatch for
-//! the next window.
+//! order: monitor ticks (policy decisions) and network-transfer
+//! completions, deferred admission-blocked / decode-OOM policy hooks,
+//! reconfigurations (merge/split), and arrival dispatch for the next
+//! window.
 //!
 //! # Work stealing
 //!
@@ -43,30 +41,20 @@
 //! byte-identical at any worker count. Steal counts are telemetry
 //! ([`ShardedEngine::stats`]) and never feed a report.
 //!
-//! The window length is capped by the **lookahead** — the minimum
-//! simulated latency of any cross-group interaction (see
-//! [`derive_lookahead`]) — and additionally cut at the next scheduled
-//! global event (monitor tick, earliest transfer completion). When a
-//! window has no runnable group at all, the barrier jumps straight to the
-//! next global event / arrival / deferred local event instead of idling
-//! through empty lookahead-sized windows.
+//! With two or more lanes, a window starting at barrier `B` ends no later
+//! than `B + lookahead`, where the **lookahead** is the minimum simulated
+//! latency of any cross-group interaction (see [`derive_lookahead`]). A
+//! single lane has no peer to wait for, so its windows are uncapped. Every
+//! window is additionally cut at the next scheduled global event (monitor
+//! tick, earliest transfer completion). When a window has no runnable
+//! group at all, the barrier jumps straight to the next global event /
+//! arrival / deferred local event instead of idling through empty
+//! lookahead-sized windows.
 //!
-//! # Speculative barrier hooks
-//!
-//! With [`ParallelConfig::speculation`] enabled, the barrier-deferred
-//! reactive hooks (`on_admission_blocked`, `on_decode_oom`) go through an
-//! optimistic one-window pipeline instead of running serially on the
-//! barrier's critical path: at barrier *k* the policy snapshots the
-//! hooks' inputs ([`Policy::plan_deferred`]) and the expensive pure
-//! planning races the *next* window on a spare thread; at barrier *k + 1*
-//! the plan **commits** ([`Policy::commit_deferred`]) if the
-//! [`ClusterState::structural_epoch`] did not move in between, and is
-//! otherwise **discarded** and the saved hook batch re-run through the
-//! classic serial arms. Both the launch decision and the commit/fallback
-//! decision are pure functions of simulated state, so results remain
-//! byte-identical at any worker count — though hook effects land one
-//! window later than with speculation off (the documented, opt-in
-//! semantic delta; the flag defaults to `false`).
+//! Barrier-deferred reactive hooks (`on_admission_blocked`,
+//! `on_decode_oom`) run serially on the coordinator at the barrier that
+//! follows the window which raised them — KunServe starts a drop round
+//! when the throttling event is observed (paper §4.1–§4.2).
 //!
 //! # Determinism
 //!
@@ -84,9 +72,7 @@
 //! - at barriers, task results (metric logs, completion counts, deferred
 //!   policy flags) are merged in `(time, home lane, slot, sequence)`
 //!   order: a k-way merge of the per-slot logs, each already time-ordered
-//!   because a task's clock never runs backwards ([`merge_slot_logs`]);
-//! - speculation commits are decided by the structural epoch, a pure
-//!   function of simulated state.
+//!   because a task's clock never runs backwards ([`merge_slot_logs`]).
 //!
 //! `tests/determinism.rs` pins this with a 1/2/4-worker matrix, including
 //! a skewed workload that forces steals.
@@ -117,7 +103,7 @@ use kvcache::SeqKey;
 use netsim::{LinkSpec, NodeId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sim_core::shard::{ConservativeClock, ShardId, SpecOutcome, SpecSequencer, StealDeques};
+use sim_core::shard::StealDeques;
 use sim_core::{EventQueue, SimDuration, SimTime};
 use workload::Trace;
 
@@ -128,7 +114,7 @@ use crate::former::MicrobatchFormerSpec;
 use crate::group::{ExecGroup, GroupId, IterationPlan};
 use crate::metrics::RunReport;
 use crate::pipeline::{schedule, StageTiming};
-use crate::policy::{DeferredHooks, HookPlan, OomResolution, Policy};
+use crate::policy::{DeferredHooks, OomResolution, Policy};
 use crate::request::{ReqState, Request, RequestId};
 use crate::state::{CancelOutcome, ClusterState};
 use workload::RequestSpec;
@@ -150,17 +136,14 @@ pub struct ParallelConfig {
     /// Conservative window cap. `None` = derive from the cluster
     /// configuration ([`derive_lookahead`]).
     pub lookahead: Option<SimDuration>,
-    /// Execute barrier-deferred policy hooks speculatively against a
-    /// snapshot while the next window runs, validating (and on conflict
-    /// rolling back to the serial arms) at the following barrier. Opt-in:
-    /// hook effects land one window later than with the flag off. Results
-    /// remain byte-identical at any worker count either way.
+    /// Must be `false`. The speculative barrier-hook path was removed;
+    /// the field remains only so existing struct literals compile, and
+    /// [`ShardedEngine::new`] rejects `true`.
     pub speculation: bool,
 }
 
 impl ParallelConfig {
-    /// `workers` workers, auto shard count, derived lookahead, no
-    /// speculation.
+    /// `workers` workers, auto shard count, derived lookahead.
     pub fn with_workers(workers: usize) -> Self {
         ParallelConfig {
             workers: workers.max(1),
@@ -661,8 +644,8 @@ fn run_window(rt: &mut GroupRuntime, table: &ReqTable, ctx: &ReadCtx, w_end: Sim
 ///   does when the policy declines to free memory);
 /// - decode OOM → flag the request and skip its decode this iteration
 ///   (the serial `SkipIteration` resolution). The barrier invokes the
-///   real policy hook — serially or speculatively — and, if it gives up,
-///   applies the guaranteed-progress recompute preemption there.
+///   real policy hook and, if it gives up, applies the guaranteed-progress
+///   recompute preemption there.
 fn try_start(rt: &mut GroupRuntime, table: &ReqTable, ctx: &ReadCtx) {
     {
         let g = rt.group.as_ref().expect("group checked out");
@@ -915,7 +898,7 @@ fn complete_iteration(rt: &mut GroupRuntime, table: &ReqTable) {
 // The coordinator.
 // ---------------------------------------------------------------------
 
-/// Scheduling and speculation telemetry of one [`ShardedEngine`].
+/// Scheduling telemetry of one [`ShardedEngine`].
 /// Counters accumulate across runs on the same engine; none of them ever
 /// feeds a [`RunReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -925,35 +908,6 @@ pub struct ShardStats {
     pub windows: u64,
     /// Tasks executed by a non-home worker (work-stealing pops).
     pub steals: u64,
-    /// Speculative hook batches launched.
-    pub spec_launched: u64,
-    /// Speculative plans committed (structural epoch held).
-    pub spec_committed: u64,
-    /// Speculative plans discarded and re-run serially (epoch moved).
-    pub spec_fallbacks: u64,
-}
-
-/// An in-flight speculative hook batch: the saved hooks (for the serial
-/// fallback) plus the plan being computed.
-struct SpecInflight {
-    hooks: DeferredHooks,
-    pending: SpecPending,
-}
-
-/// Where the speculative plan is being produced: inline (single worker)
-/// or racing the next window on a spare thread.
-enum SpecPending {
-    Ready(HookPlan),
-    Thread(std::thread::JoinHandle<HookPlan>),
-}
-
-impl SpecPending {
-    fn join(self) -> HookPlan {
-        match self {
-            SpecPending::Ready(plan) => plan,
-            SpecPending::Thread(handle) => handle.join().expect("speculative planner panicked"),
-        }
-    }
 }
 
 /// The helper threads of one sharded session: long-lived, parked on a
@@ -1074,12 +1028,8 @@ struct SessionCore {
     total: usize,
     flags_blocked: Vec<GroupId>,
     flags_oom: Vec<(GroupId, RequestId)>,
-    clk: ConservativeClock,
     /// The current barrier time.
     b: SimTime,
-    /// The optimistic hook pipeline: at most one batch in flight,
-    /// resolved at the barrier after its launch.
-    spec: SpecSequencer<SpecInflight>,
     /// The window's runnable group slots, reused across windows.
     to_run: Vec<usize>,
     /// The k-way merge heap over per-slot logs, reused across windows.
@@ -1120,7 +1070,8 @@ pub struct ShardedEngine<P: Policy> {
     /// configuration, computed once at construction.
     num_shards: usize,
     /// Resolved conservative lookahead — likewise a pure function of the
-    /// configuration; [`derive_lookahead`] runs exactly once, here.
+    /// configuration; [`derive_lookahead`] runs exactly once, here. Caps
+    /// every window when `num_shards > 1`.
     lookahead: SimDuration,
     stats: ShardStats,
     /// The open incremental session, if any (batch runs open and close
@@ -1135,7 +1086,16 @@ impl<P: Policy> ShardedEngine<P> {
     /// once: both are pure functions of the cluster configuration (the
     /// initial group layout, the monitor interval, the fabric's chunk
     /// timing), none of which changes after construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pcfg.speculation` is set: speculative barrier hooks
+    /// were removed, and silently ignoring the flag would mislabel a run.
     pub fn new(cfg: ClusterConfig, policy: P, pcfg: ParallelConfig) -> Self {
+        assert!(
+            !pcfg.speculation,
+            "ParallelConfig::speculation was removed: barrier hooks always run serially"
+        );
         let state = ClusterState::new(cfg);
         let num_shards = if pcfg.num_shards > 0 {
             pcfg.num_shards
@@ -1167,8 +1127,8 @@ impl<P: Policy> ShardedEngine<P> {
         self.lookahead
     }
 
-    /// Scheduling and speculation telemetry (steal and speculative-commit
-    /// counters). Never part of a [`RunReport`].
+    /// Scheduling telemetry (window and steal counters). Never part of a
+    /// [`RunReport`].
     pub fn stats(&self) -> ShardStats {
         self.stats
     }
@@ -1250,9 +1210,7 @@ impl<P: Policy> ShardedEngine<P> {
             total: 0,
             flags_blocked: Vec::new(),
             flags_oom: Vec::new(),
-            clk: ConservativeClock::new(self.num_shards, self.lookahead),
             b: SimTime::ZERO,
-            spec: SpecSequencer::new(),
             to_run: Vec::new(),
             merge_heap: BinaryHeap::new(),
             dirty: true,
@@ -1381,24 +1339,10 @@ impl<P: Policy> ShardedEngine<P> {
         self.close_session(s)
     }
 
-    /// Session epilogue shared by batch runs and `end_session`: resolve a
-    /// leftover speculation, fold telemetry into [`ShardStats`], join the
-    /// worker pool, report.
-    fn close_session(&mut self, mut s: SessionCore) -> RunReport {
-        // A speculation still in flight at the end of the run can no
-        // longer influence the report: resolve it for the books, then
-        // discard the plan uniformly (a pure function of "the loop
-        // ended", hence worker-invariant).
-        if let Some(SpecOutcome::Commit(inflight) | SpecOutcome::Fallback(inflight)) =
-            s.spec.resolve(self.state.structural_epoch())
-        {
-            drop(inflight.pending.join());
-        }
-        let (launched, committed, fallbacks) = s.spec.counters();
+    /// Session epilogue shared by batch runs and `end_session`: fold
+    /// telemetry into [`ShardStats`], join the worker pool, report.
+    fn close_session(&mut self, s: SessionCore) -> RunReport {
         self.stats.steals += s.deques.steals();
-        self.stats.spec_launched += launched;
-        self.stats.spec_committed += committed;
-        self.stats.spec_fallbacks += fallbacks;
         drop(s); // joins the worker pool
         self.state.metrics.report()
     }
@@ -1505,68 +1449,18 @@ impl<P: Policy> ShardedEngine<P> {
                 }
             }
 
-            // 2. Resolve the in-flight speculation (if any), then handle
-            //    the deferred policy hooks from the last window.
-            //
-            //    Resolution runs *after* step 1 on purpose: a monitor
-            //    tick or transfer completion that mutated group structure
-            //    bumped the structural epoch, which safely forces the
-            //    fallback below.
-            if let Some(outcome) = s.spec.resolve(self.state.structural_epoch()) {
-                s.dirty = true;
-                match outcome {
-                    SpecOutcome::Commit(inflight) => {
-                        let plan = inflight.pending.join();
-                        self.policy.commit_deferred(&mut self.state, b, plan);
-                    }
-                    SpecOutcome::Fallback(inflight) => {
-                        // Discard the stale speculative plan and re-run
-                        // the saved batch through the serial arms.
-                        drop(inflight.pending.join());
-                        self.run_hooks_serial(b, &inflight.hooks);
-                    }
-                }
-            }
+            // 2. The deferred policy hooks from the last window.
             s.flags_blocked.sort();
             s.flags_blocked.dedup();
             s.flags_oom.sort();
             s.flags_oom.dedup();
             if !s.flags_blocked.is_empty() || !s.flags_oom.is_empty() {
-                let mut hooks = Some(DeferredHooks {
+                let hooks = DeferredHooks {
                     blocked: std::mem::take(&mut s.flags_blocked),
                     oom: std::mem::take(&mut s.flags_oom),
-                });
-                if self.pcfg.speculation && s.spec.is_idle() {
-                    let base = self.state.structural_epoch();
-                    if let Some(job) = self.policy.plan_deferred(
-                        &self.state,
-                        b,
-                        hooks.as_ref().expect("hooks present"),
-                    ) {
-                        // Launch: the pure planning races the next window
-                        // on a spare thread (inline with a single worker —
-                        // the commit decision is epoch-driven either way,
-                        // so results are worker-invariant).
-                        let pending = if s.pool.is_some() {
-                            SpecPending::Thread(std::thread::spawn(move || (job.run)()))
-                        } else {
-                            SpecPending::Ready((job.run)())
-                        };
-                        s.spec.launch(
-                            base,
-                            SpecInflight {
-                                hooks: hooks.take().expect("hooks present"),
-                                pending,
-                            },
-                        );
-                    }
-                }
-                if let Some(hooks) = hooks {
-                    // Speculation off, or the policy declined to plan:
-                    // the classic serial path, unchanged.
-                    s.dirty = true;
-                    self.run_hooks_serial(b, &hooks);
-                }
+                };
+                s.dirty = true;
+                self.run_hooks_serial(b, &hooks);
             }
 
             // 3. Reconfigurations whose groups went idle.
@@ -1629,16 +1523,15 @@ impl<P: Policy> ShardedEngine<P> {
                 break;
             }
 
-            // 6. Window horizon: each lane may advance to its safe
-            //    horizon (min of the other lanes' clocks + lookahead);
-            //    the barrier-synchronous loop takes the minimum over all
-            //    lanes, additionally cut at the next global event and
-            //    never past the drain stop.
-            debug_assert_eq!(s.clk.global_floor(), b, "clocks advance in lockstep");
-            let mut w_end = (0..num_shards)
-                .map(|sh| s.clk.safe_horizon(ShardId(sh)))
-                .min()
-                .expect("at least one lane");
+            // 6. Window horizon: `lookahead` past the barrier when other
+            //    lanes exist (a single lane has no peer to wait for),
+            //    additionally cut at the next global event and never past
+            //    the drain stop.
+            let mut w_end = if num_shards > 1 {
+                b.saturating_add(self.lookahead)
+            } else {
+                SimTime::MAX
+            };
             if let Some(t) = s.global.peek_time() {
                 w_end = w_end.min(t);
             }
@@ -1876,9 +1769,6 @@ impl<P: Policy> ShardedEngine<P> {
                 rt.clock = rt.clock.max(w_end);
             }
 
-            for sh in 0..num_shards {
-                s.clk.advance(ShardId(sh), w_end);
-            }
             // New window ⇒ new detector epoch: ownership may legitimately
             // move across tasks between windows, never within one.
             #[cfg(debug_assertions)]
@@ -1890,8 +1780,7 @@ impl<P: Policy> ShardedEngine<P> {
         }
     }
 
-    /// The classic serial barrier arms for one window's deferred hooks —
-    /// the reference semantics the speculative path falls back to.
+    /// The serial barrier arms for one window's deferred hooks.
     fn run_hooks_serial(&mut self, now: SimTime, hooks: &DeferredHooks) {
         for &g in &hooks.blocked {
             if self.state.group_alive(g) && !self.state.group(g).frozen {
@@ -1934,7 +1823,7 @@ impl<P: Policy> ShardedEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{QueueingPolicy, SpecJob};
+    use crate::policy::QueueingPolicy;
     use sim_core::SimTime;
     use workload::{ModelId, RequestSpec};
 
@@ -1956,10 +1845,8 @@ mod tests {
 
     fn pcfg(workers: usize) -> ParallelConfig {
         ParallelConfig {
-            workers,
             num_shards: 4,
-            lookahead: None,
-            speculation: false,
+            ..ParallelConfig::with_workers(workers)
         }
     }
 
@@ -2030,85 +1917,17 @@ mod tests {
         assert_eq!(eng.stats().steals, 0, "the inline path drains in order");
     }
 
-    /// For policies without a `plan_deferred` (every built-in except
-    /// KunServe), the speculation flag must be byte-inert: the planner
-    /// declines, and the hooks run through the identical serial arms.
     #[test]
-    fn speculation_flag_is_inert_without_a_planner() {
-        let run = |workers: usize, speculation: bool| {
-            let mut eng = ShardedEngine::new(
-                ClusterConfig::tiny_test(1),
-                QueueingPolicy,
-                ParallelConfig {
-                    workers,
-                    num_shards: 4,
-                    lookahead: None,
-                    speculation,
-                },
-            );
-            let trace = small_trace(80, 5, 1024, 512);
-            format!("{:?}", eng.run(&trace, SimDuration::from_secs(1200)))
-        };
-        let baseline = run(1, false);
-        assert_eq!(baseline, run(1, true));
-        assert_eq!(baseline, run(2, true));
-    }
-
-    /// A minimal speculating policy: plans a no-op for every deferred
-    /// batch, so the pipeline's launch/commit accounting is observable.
-    struct SpecProbe;
-
-    impl Policy for SpecProbe {
-        fn name(&self) -> &'static str {
-            "SpecProbe"
-        }
-
-        fn plan_deferred(
-            &mut self,
-            state: &ClusterState,
-            _now: SimTime,
-            _hooks: &DeferredHooks,
-        ) -> Option<SpecJob> {
-            let base = state.structural_epoch();
-            Some(SpecJob {
-                run: Box::new(move || HookPlan {
-                    base_epoch: base,
-                    payload: Box::new(()),
-                }),
-            })
-        }
-    }
-
-    #[test]
-    fn speculative_batches_launch_and_resolve_exactly_once() {
-        let run = |workers: usize| {
-            let mut eng = ShardedEngine::new(
-                ClusterConfig::tiny_test(1),
-                SpecProbe,
-                ParallelConfig {
-                    workers,
-                    num_shards: 4,
-                    lookahead: None,
-                    speculation: true,
-                },
-            );
-            // The overload trace from `sharded_overload_preserves_progress`:
-            // guaranteed to exhaust KV memory and raise deferred hooks.
-            let trace = small_trace(80, 5, 1024, 512);
-            let report = eng.run(&trace, SimDuration::from_secs(30));
-            (format!("{report:?}"), eng.stats())
-        };
-        let (r1, s1) = run(1);
-        let (r2, s2) = run(2);
-        assert_eq!(r1, r2, "speculation must stay worker-invariant");
-        assert!(s1.spec_launched > 0, "overload must raise deferred hooks");
-        assert_eq!(
-            s1.spec_committed + s1.spec_fallbacks,
-            s1.spec_launched,
-            "every launch resolves exactly once"
+    #[should_panic(expected = "ParallelConfig::speculation was removed")]
+    fn speculation_flag_is_rejected() {
+        ShardedEngine::new(
+            ClusterConfig::tiny_test(1),
+            QueueingPolicy,
+            ParallelConfig {
+                speculation: true,
+                ..pcfg(1)
+            },
         );
-        assert_eq!(s1.spec_launched, s2.spec_launched);
-        assert_eq!(s1.spec_committed, s2.spec_committed);
     }
 
     #[test]

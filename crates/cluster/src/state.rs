@@ -199,13 +199,6 @@ pub struct ClusterState {
     next_batch: u64,
     /// In-flight elastic model load/unload operations (gateway-driven).
     model_ops: Vec<ModelOp>,
-    /// Monotone counter of *structural* mutations: group creation/death
-    /// (merge, split, failure, recovery) and freeze/unfreeze flips. The
-    /// optimistic executor validates speculative hook plans against it —
-    /// an unchanged epoch proves the snapshot's group structure is intact,
-    /// so a plan computed from it can still be applied. Bumped only on the
-    /// serial barrier path, so it is a pure function of simulated state.
-    structural_epoch: u64,
 }
 
 impl ClusterState {
@@ -308,20 +301,7 @@ impl ClusterState {
             transfer_batches: HashMap::new(),
             next_batch: 0,
             model_ops: Vec::new(),
-            structural_epoch: 0,
         })
-    }
-
-    /// The structural-mutation epoch (see the field doc). Speculative hook
-    /// plans snapshot this and are only committed while it holds.
-    pub fn structural_epoch(&self) -> u64 {
-        self.structural_epoch
-    }
-
-    /// Records a structural mutation (group created/destroyed or a freeze
-    /// flip), invalidating any in-flight speculative hook plan.
-    fn note_structural_change(&mut self) {
-        self.structural_epoch += 1;
     }
 
     // ------------------------------------------------------------------
@@ -860,7 +840,6 @@ impl ClusterState {
         for &g in &groups {
             self.group_mut(g).frozen = true;
         }
-        self.note_structural_change();
         self.pending_reconfigs.push(Reconfig::Merge {
             groups,
             grants,
@@ -882,7 +861,6 @@ impl ClusterState {
             return;
         }
         self.group_mut(group).frozen = true;
-        self.note_structural_change();
         self.pending_reconfigs.push(Reconfig::Split { group });
     }
 
@@ -1221,7 +1199,6 @@ impl ClusterState {
     /// Returns the newly created groups.
     pub fn execute_ready_reconfigs(&mut self, now: SimTime) -> Vec<GroupId> {
         let mut created = Vec::new();
-        let mut mutated = false;
         let pending = std::mem::take(&mut self.pending_reconfigs);
         for rc in pending {
             // A reconfig referencing a dead group (a member failed while it
@@ -1243,7 +1220,6 @@ impl ClusterState {
                 } else {
                     self.metrics.on_reconfig(now, "split-abandoned: group died");
                 }
-                mutated = true;
                 continue;
             }
             let ready = match &rc {
@@ -1260,7 +1236,6 @@ impl ClusterState {
                     grants,
                     drop_range,
                 } => {
-                    mutated = true;
                     match self.merge_groups(&groups, &grants, drop_range, now) {
                         Ok(g) => created.push(g),
                         Err(msg) => {
@@ -1276,14 +1251,10 @@ impl ClusterState {
                     }
                 }
                 Reconfig::Split { group } => match self.split_group(group, now) {
-                    Ok(gs) => {
-                        mutated = true;
-                        created.extend(gs);
-                    }
+                    Ok(gs) => created.extend(gs),
                     Err(_busy) => {
                         // Usage crept back above the restorable level; keep
                         // the group pipelined and let the policy retry.
-                        mutated = true;
                         if self.group_alive(group) {
                             self.group_mut(group).frozen = false;
                         }
@@ -1291,9 +1262,6 @@ impl ClusterState {
                     }
                 },
             }
-        }
-        if mutated {
-            self.note_structural_change();
         }
         created
     }
@@ -1925,7 +1893,6 @@ impl ClusterState {
     pub fn fail_instance(&mut self, failed: InstanceId, now: SimTime) -> Vec<GroupId> {
         let gid = self.instances[failed.0 as usize].group;
         assert!(self.group_alive(gid), "instance already failed");
-        self.note_structural_change();
         let model_id = self.group(gid).model;
         let kv_per_token = self.cfg.model_cfg(model_id).kv_bytes_per_token();
         // Settle the donation ledger before anything restores: bytes this
@@ -2099,7 +2066,6 @@ impl ClusterState {
         if self.group_alive(self.instances[inst.0 as usize].group) {
             return None;
         }
-        self.note_structural_change();
         let model_id = self.instances[inst.0 as usize].model;
         self.instances[inst.0 as usize] = Instance::for_model(inst, model_id, &self.cfg);
         let kv_per_token = self.cfg.model_cfg(model_id).kv_bytes_per_token();
@@ -2416,7 +2382,6 @@ impl ClusterState {
             return false;
         };
         self.group_mut(g).frozen = false;
-        self.note_structural_change();
         self.metrics
             .on_reconfig(now, format!("load: restoring {m}"));
         if self.start_param_restore(g, now) {
@@ -2523,7 +2488,6 @@ impl ClusterState {
     /// the unload: one compressed parameter copy parked, duplicates freed.
     fn park_unloaded(&mut self, g: GroupId, m: ModelId, now: SimTime) {
         self.group_mut(g).frozen = true;
-        self.note_structural_change();
         let freed: u64 = self
             .group(g)
             .members
@@ -2590,7 +2554,6 @@ impl ClusterState {
                     BatchEffect::RecoveryReady(group) => {
                         if self.group_alive(group) {
                             self.group_mut(group).frozen = false;
-                            self.note_structural_change();
                         }
                         Some(TransferEvent::RecoveryReady { group })
                     }

@@ -67,8 +67,4 @@ pub use plan::{
     PlanGroup,
 };
 pub use policy::{KunServeConfig, KunServePolicy};
-#[allow(deprecated)]
-pub use serving::{
-    run_system, run_system_sharded, run_system_sharded_with_failures, run_system_with_failures,
-};
 pub use serving::{Run, RunOutcome, ServingSession, SystemKind};

@@ -99,7 +99,7 @@ pub struct RunOutcome {
     pub state: ClusterState,
     /// Wall-clock span of the trace (for throughput normalization).
     pub span: SimDuration,
-    /// Scheduling/speculation telemetry of the sharded executor
+    /// Scheduling telemetry of the sharded executor
     /// (`None` for serial-engine runs). Never part of the report.
     pub stats: Option<ShardStats>,
 }
@@ -391,67 +391,6 @@ impl ServingSession {
     }
 }
 
-/// Runs `kind` over `trace` on a cluster built from `cfg`, allowing up to
-/// `drain` of simulated time past the last arrival to clear the backlog.
-#[deprecated(note = "use `Run::new(kind, cfg, trace).drain(drain).execute()`")]
-pub fn run_system(
-    kind: SystemKind,
-    cfg: ClusterConfig,
-    trace: &Trace,
-    drain: SimDuration,
-) -> RunOutcome {
-    Run::new(kind, cfg, trace).drain(drain).execute()
-}
-
-/// Runs `kind` over `trace` while injecting the correlated rack failures
-/// in `schedule`.
-#[deprecated(note = "use `Run::new(..).drain(..).failures(schedule).execute()`")]
-pub fn run_system_with_failures(
-    kind: SystemKind,
-    cfg: ClusterConfig,
-    trace: &Trace,
-    drain: SimDuration,
-    schedule: &FailureSchedule,
-) -> RunOutcome {
-    Run::new(kind, cfg, trace)
-        .drain(drain)
-        .failures(schedule)
-        .execute()
-}
-
-/// Runs `kind` over `trace` on the sharded executor while injecting the
-/// scripted faults in `schedule`.
-#[deprecated(note = "use `Run::new(..).drain(..).sharded(pcfg).failures(schedule).execute()`")]
-pub fn run_system_sharded_with_failures(
-    kind: SystemKind,
-    cfg: ClusterConfig,
-    trace: &Trace,
-    drain: SimDuration,
-    pcfg: ParallelConfig,
-    schedule: &FailureSchedule,
-) -> RunOutcome {
-    Run::new(kind, cfg, trace)
-        .drain(drain)
-        .sharded(pcfg)
-        .failures(schedule)
-        .execute()
-}
-
-/// Runs `kind` over `trace` on the sharded executor.
-#[deprecated(note = "use `Run::new(..).drain(..).sharded(pcfg).execute()`")]
-pub fn run_system_sharded(
-    kind: SystemKind,
-    cfg: ClusterConfig,
-    trace: &Trace,
-    drain: SimDuration,
-    pcfg: ParallelConfig,
-) -> RunOutcome {
-    Run::new(kind, cfg, trace)
-        .drain(drain)
-        .sharded(pcfg)
-        .execute()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,54 +481,6 @@ mod tests {
             kun.report.ttft.p99,
             vllm.report.ttft.p99
         );
-    }
-
-    #[test]
-    fn sharded_kunserve_speculation_commits_plans() {
-        // KunServe implements `plan_deferred`: under a memory-overloading
-        // burst with speculation on, deferred admission/OOM batches must
-        // launch speculative arbitration rounds, every launch must resolve,
-        // and the run must stay worker-count invariant.
-        let trace = BurstTraceBuilder::new(Dataset::BurstGpt)
-            .base_rps(60.0)
-            .duration(SimDuration::from_secs(25))
-            .burst(SimTime::from_secs(6), SimDuration::from_secs(12), 3.0)
-            .seed(9)
-            .build();
-        let mut cfg = ClusterConfig::tiny_test(4);
-        cfg.reserve_frac = 0.45;
-        let drain = SimDuration::from_secs(600);
-        let run = |workers: usize| {
-            let mut pcfg = ParallelConfig::with_workers(workers);
-            pcfg.num_shards = 4;
-            pcfg.speculation = true;
-            Run::new(SystemKind::KunServe, cfg.clone(), &trace)
-                .drain(drain)
-                .sharded(pcfg)
-                .execute()
-        };
-        let one = run(1);
-        let two = run(2);
-        assert_eq!(one.report.finished_requests, trace.len());
-        assert_eq!(
-            format!("{:?}|{:?}", one.report, one.state.metrics.reconfig_events),
-            format!("{:?}|{:?}", two.report, two.state.metrics.reconfig_events),
-            "speculative runs must stay byte-identical across worker counts"
-        );
-        let stats = one.stats.expect("sharded run records stats");
-        assert!(stats.spec_launched > 0, "the burst must launch speculation");
-        assert_eq!(
-            stats.spec_committed + stats.spec_fallbacks,
-            stats.spec_launched,
-            "every speculative launch resolves exactly once"
-        );
-        // Speculation accounting is epoch-driven and therefore
-        // worker-invariant; steal counts are thread-timing telemetry and
-        // deliberately excluded from the comparison.
-        let stats2 = two.stats.expect("stats present");
-        assert_eq!(stats.spec_launched, stats2.spec_launched);
-        assert_eq!(stats.spec_committed, stats2.spec_committed);
-        assert_eq!(stats.spec_fallbacks, stats2.spec_fallbacks);
     }
 
     #[test]

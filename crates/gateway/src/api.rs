@@ -26,6 +26,9 @@ pub enum GatewayError {
     ModelOpRejected(ModelId),
     /// The handle does not name a request of this gateway.
     UnknownRequest,
+    /// `input_tokens + output_tokens` does not fit in a `u64`, so the
+    /// request's token reservation cannot be charged.
+    TokenCountOverflow,
 }
 
 impl std::fmt::Display for GatewayError {
@@ -38,6 +41,7 @@ impl std::fmt::Display for GatewayError {
             GatewayError::ArrivalInPast(t) => write!(f, "arrival {t} already elapsed"),
             GatewayError::ModelOpRejected(m) => write!(f, "model op on {m} not applicable"),
             GatewayError::UnknownRequest => write!(f, "unknown request handle"),
+            GatewayError::TokenCountOverflow => write!(f, "input + output tokens overflow u64"),
         }
     }
 }
@@ -230,7 +234,8 @@ impl<C: Clock> Gateway<C> {
     /// Submits a request under `key`. On success the request is queued
     /// for injection at the boundary covering `spec.arrival` and its
     /// handle is returned; the error cases are quota, auth, model
-    /// availability and time-ordering violations.
+    /// availability, time-ordering violations and a token count that
+    /// overflows `u64`.
     pub fn submit(&mut self, key: &str, spec: SubmitSpec) -> Result<RequestHandle, GatewayError> {
         let tenant_ix = self
             .tenants
@@ -247,7 +252,10 @@ impl<C: Clock> Gateway<C> {
         if spec.arrival < self.now {
             return Err(GatewayError::ArrivalInPast(spec.arrival));
         }
-        let reserve = spec.input_tokens + spec.output_tokens;
+        let reserve = spec
+            .input_tokens
+            .checked_add(spec.output_tokens)
+            .ok_or(GatewayError::TokenCountOverflow)?;
         if !self.tenants[tenant_ix].admits(reserve) {
             return Err(GatewayError::QuotaExhausted(tenant));
         }
@@ -518,6 +526,20 @@ mod tests {
         let spec = SubmitSpec::new(ModelId::PRIMARY, SimTime::from_millis(10), 64, 8);
         assert!(g.submit("k1", spec).is_ok()); // 72 reserved
         assert_eq!(g.submit("k1", spec), Err(GatewayError::QuotaExhausted(t)));
+    }
+
+    #[test]
+    fn overflowing_token_count_is_rejected_without_charging() {
+        let mut g = gw();
+        let t = g.register_tenant("acme", "k1", Quota::tokens(100));
+        // Wrapping addition would reserve 1 token and slip under the quota.
+        let hostile = SubmitSpec::new(ModelId::PRIMARY, SimTime::from_millis(10), u64::MAX, 2);
+        assert_eq!(
+            g.submit("k1", hostile),
+            Err(GatewayError::TokenCountOverflow)
+        );
+        let tenant = &g.tenants[t.0 as usize];
+        assert_eq!((tenant.used_requests, tenant.used_tokens), (0, 0));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Discrete-event simulation kernel shared by every KunServe substrate crate.
 //!
-//! The crate provides three building blocks:
+//! The crate provides four building blocks:
 //!
 //! - [`SimTime`] / [`SimDuration`]: microsecond-resolution simulated time.
 //! - [`EventQueue`]: a deterministic future-event list. Ties in time are
 //!   broken by insertion order, so a simulation driven by this queue is fully
 //!   reproducible for a fixed seed.
+//! - [`StealDeques`]: per-lane work-item deques with steal semantics, the
+//!   scheduling substrate of the cluster's sharded executor.
 //! - [`stats`]: percentile summaries and windowed time series used by the
 //!   serving metrics collectors and the benchmark harness.
 //!
@@ -32,8 +34,6 @@ pub mod stats;
 pub mod time;
 
 pub use queue::EventQueue;
-pub use shard::{
-    ConservativeClock, ShardId, ShardedQueue, SpecOutcome, SpecSequencer, StealDeques,
-};
+pub use shard::StealDeques;
 pub use stats::{Percentiles, TimeSeries, WindowedRate};
 pub use time::{SimDuration, SimTime};

@@ -1,245 +1,14 @@
-//! Sharded event queues and the conservative time-sync primitive.
+//! The work-stealing substrate of the sharded executor.
 //!
-//! A parallel discrete-event simulation splits its event population into
-//! *shards* that advance independently. Correctness then rests on the
-//! classic conservative-PDES contract: a shard may only process events up
-//! to a *safe horizon* derived from every other shard's clock plus a
-//! *lookahead* — the minimum simulated delay any cross-shard interaction
-//! incurs. As long as inter-shard messages are timestamped at least
-//! `lookahead` past their sender's clock, no shard can ever receive an
-//! event "in its past".
-//!
-//! Four building blocks live here:
-//!
-//! - [`ConservativeClock`]: per-shard clocks + the safe-horizon rule.
-//!   The cluster simulator's sharded executor drives its barrier loop off
-//!   this: every window ends at the minimum safe horizon across shards.
-//! - [`ShardedQueue`]: per-shard future-event lists plus timestamped
-//!   inter-shard mailboxes with deterministic delivery order — the
-//!   general *asynchronous* delivery primitive for executors whose shards
-//!   exchange events directly. The barrier-synchronous executor routes
-//!   all cross-shard effects through its coordinator instead, so it
-//!   needs only the clock; the mailbox contract is pinned by
-//!   `tests/prop_shard_sync.rs` against the same safe-horizon rule.
-//! - [`StealDeques`]: per-shard work-item deques with steal semantics —
-//!   the scheduling substrate of the work-stealing executor. Items are
-//!   pushed by a coordinator in deterministic order; workers drain their
-//!   home lane front-to-back and steal from other lanes' backs when
-//!   idle. Stealing moves only *where* an item executes, never what it
-//!   computes, so results stay byte-identical at any worker count.
-//! - [`SpecSequencer`]: the deterministic commit sequencer for optimistic
-//!   (speculative) barrier-hook execution: at most one speculation is in
-//!   flight, it resolves at the *next* barrier, and the commit/fallback
-//!   decision is a pure function of a structural epoch — never of
-//!   wall-clock scheduling. Pinned by `tests/prop_shard_sync.rs`.
+//! [`StealDeques`] holds per-lane work-item deques with steal semantics.
+//! A coordinator pushes items in deterministic order; workers drain their
+//! home lane front-to-back and steal from other lanes' backs when idle.
+//! Stealing moves only *where* an item executes, never what it computes,
+//! so results stay byte-identical at any worker count.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-use crate::queue::EventQueue;
-use crate::time::{SimDuration, SimTime};
-
-/// Identifier of one shard (a partition of the simulated entities).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ShardId(pub usize);
-
-/// Per-shard clocks with the conservative safe-horizon rule.
-///
-/// # Examples
-///
-/// ```
-/// use sim_core::shard::{ConservativeClock, ShardId};
-/// use sim_core::{SimDuration, SimTime};
-///
-/// let mut clk = ConservativeClock::new(2, SimDuration::from_millis(10));
-/// // Initially every shard may advance to the other's clock + lookahead.
-/// assert_eq!(clk.safe_horizon(ShardId(0)), SimTime::from_millis(10));
-/// clk.advance(ShardId(1), SimTime::from_millis(4));
-/// assert_eq!(clk.safe_horizon(ShardId(0)), SimTime::from_millis(14));
-/// ```
-#[derive(Debug, Clone)]
-pub struct ConservativeClock {
-    clocks: Vec<SimTime>,
-    lookahead: SimDuration,
-}
-
-impl ConservativeClock {
-    /// Creates clocks for `shards` shards, all at the epoch.
-    pub fn new(shards: usize, lookahead: SimDuration) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        ConservativeClock {
-            clocks: vec![SimTime::ZERO; shards],
-            lookahead,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.clocks.len()
-    }
-
-    /// The configured lookahead.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// The local clock of `shard`.
-    pub fn clock(&self, shard: ShardId) -> SimTime {
-        self.clocks[shard.0]
-    }
-
-    /// Advances `shard`'s clock to `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the clock would move backwards — simulated time is
-    /// monotone per shard, and a violation means shard-merge bookkeeping
-    /// has gone wrong (this must fail loudly even in release builds).
-    pub fn advance(&mut self, shard: ShardId, t: SimTime) {
-        assert!(
-            t >= self.clocks[shard.0],
-            "shard {shard:?} clock must not move backwards ({t:?} < {:?})",
-            self.clocks[shard.0]
-        );
-        self.clocks[shard.0] = t;
-    }
-
-    /// The latest instant `shard` may safely simulate to: the minimum over
-    /// *other* shards' clocks, plus the lookahead. With a single shard the
-    /// horizon is unbounded ([`SimTime::MAX`]).
-    pub fn safe_horizon(&self, shard: ShardId) -> SimTime {
-        let min_other = self
-            .clocks
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != shard.0)
-            .map(|(_, &t)| t)
-            .min();
-        match min_other {
-            Some(t) => t.saturating_add(self.lookahead),
-            None => SimTime::MAX,
-        }
-    }
-
-    /// The minimum clock across all shards (the global virtual time floor).
-    pub fn global_floor(&self) -> SimTime {
-        *self.clocks.iter().min().expect("at least one shard")
-    }
-}
-
-/// One timestamped message in flight between shards.
-#[derive(Debug, Clone)]
-struct Mail<E> {
-    time: SimTime,
-    from: ShardId,
-    seq: u64,
-    event: E,
-}
-
-/// Per-shard future-event lists plus inter-shard mailboxes.
-///
-/// Local events go straight into a shard's own queue ([`Self::push`]).
-/// Cross-shard events are *sent* ([`Self::send`]) and sit in the
-/// destination's mailbox until [`Self::deliver`] folds them into its queue
-/// — in `(time, sender, send-sequence)` order, so delivery is byte-for-byte
-/// deterministic no matter how sends from concurrent shards interleave in
-/// wall-clock time (senders flush their outboxes in shard order).
-#[derive(Debug)]
-pub struct ShardedQueue<E> {
-    queues: Vec<EventQueue<E>>,
-    mailboxes: Vec<Vec<Mail<E>>>,
-    next_seq: u64,
-}
-
-impl<E> ShardedQueue<E> {
-    /// Creates empty queues for `shards` shards.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        ShardedQueue {
-            queues: (0..shards).map(|_| EventQueue::new()).collect(),
-            mailboxes: (0..shards).map(|_| Vec::new()).collect(),
-            next_seq: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Schedules a shard-local event.
-    pub fn push(&mut self, shard: ShardId, time: SimTime, event: E) {
-        self.queues[shard.0].push(time, event);
-    }
-
-    /// Sends a cross-shard event from `from` to `to`, to fire at `time`.
-    /// The event is buffered in `to`'s mailbox until [`Self::deliver`].
-    ///
-    /// The conservative contract requires `time >= sender clock +
-    /// lookahead`; the caller (who owns the clocks) asserts that — see
-    /// [`ConservativeClock`].
-    pub fn send(&mut self, from: ShardId, to: ShardId, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.mailboxes[to.0].push(Mail {
-            time,
-            from,
-            seq,
-            event,
-        });
-    }
-
-    /// Folds `shard`'s mailbox into its event queue, in deterministic
-    /// `(time, sender, sequence)` order. Call at a synchronization point,
-    /// before the shard resumes processing.
-    pub fn deliver(&mut self, shard: ShardId) {
-        let mut mail = std::mem::take(&mut self.mailboxes[shard.0]);
-        mail.sort_by_key(|m| (m.time, m.from, m.seq));
-        for m in mail {
-            self.queues[shard.0].push(m.time, m.event);
-        }
-    }
-
-    /// Removes and returns `shard`'s earliest event strictly before
-    /// `horizon`, if any.
-    pub fn pop_before(&mut self, shard: ShardId, horizon: SimTime) -> Option<(SimTime, E)> {
-        match self.queues[shard.0].peek_time() {
-            Some(t) if t < horizon => self.queues[shard.0].pop(),
-            _ => None,
-        }
-    }
-
-    /// The earliest pending event time of one shard (mailbox not included).
-    pub fn peek_time(&self, shard: ShardId) -> Option<SimTime> {
-        self.queues[shard.0].peek_time()
-    }
-
-    /// The earliest pending event time across all shards and mailboxes.
-    pub fn global_peek_time(&self) -> Option<SimTime> {
-        let queued = self.queues.iter().filter_map(|q| q.peek_time()).min();
-        let mailed = self
-            .mailboxes
-            .iter()
-            .flat_map(|m| m.iter().map(|x| x.time))
-            .min();
-        match (queued, mailed) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Total pending events (queues + mailboxes).
-    pub fn len(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum::<usize>()
-            + self.mailboxes.iter().map(|m| m.len()).sum::<usize>()
-    }
-
-    /// Returns `true` if nothing is pending anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Per-shard work-item deques with steal semantics.
 ///
@@ -322,160 +91,9 @@ impl<T> StealDeques<T> {
     }
 }
 
-/// Outcome of resolving one in-flight speculation at a barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecOutcome<T> {
-    /// The structural epoch did not move while the speculation ran: the
-    /// precomputed plan may be committed. Carries the fallback payload
-    /// back for bookkeeping (the committer usually ignores it).
-    Commit(T),
-    /// A conflicting structural mutation happened in between: the plan
-    /// must be discarded and the payload re-run serially at this barrier.
-    Fallback(T),
-}
-
-/// Deterministic commit sequencer for optimistic barrier-hook execution.
-///
-/// The optimistic executor launches at most one speculation per window
-/// (planned against a snapshot at barrier *k*) and resolves it at barrier
-/// *k + 1*: **commit** if the structural epoch is unchanged, **fallback**
-/// (discard + serial re-run of the saved payload) otherwise. Because
-/// launches and resolves alternate and the decision depends only on the
-/// two epochs, the commit order equals the serial hook order for every
-/// conflict pattern — the property `tests/prop_shard_sync.rs` pins.
-#[derive(Debug, Default)]
-pub struct SpecSequencer<T> {
-    inflight: Option<(u64, T)>,
-    launched: u64,
-    committed: u64,
-    fallbacks: u64,
-}
-
-impl<T> SpecSequencer<T> {
-    /// Creates an idle sequencer.
-    pub fn new() -> Self {
-        SpecSequencer {
-            inflight: None,
-            launched: 0,
-            committed: 0,
-            fallbacks: 0,
-        }
-    }
-
-    /// Admits a speculation planned against `base_epoch`, carrying the
-    /// payload to re-run serially if validation fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a speculation is already in flight: the sequencer's
-    /// contract is strict alternation (launch at *k*, resolve at *k + 1*),
-    /// which is what keeps commit order equal to serial hook order.
-    pub fn launch(&mut self, base_epoch: u64, payload: T) {
-        assert!(
-            self.inflight.is_none(),
-            "speculation already in flight; resolve() must run first"
-        );
-        self.launched += 1;
-        self.inflight = Some((base_epoch, payload));
-    }
-
-    /// Resolves the in-flight speculation (if any) against the current
-    /// structural epoch. Must be called at every barrier *before* a new
-    /// launch.
-    pub fn resolve(&mut self, epoch_now: u64) -> Option<SpecOutcome<T>> {
-        let (base, payload) = self.inflight.take()?;
-        if base == epoch_now {
-            self.committed += 1;
-            Some(SpecOutcome::Commit(payload))
-        } else {
-            self.fallbacks += 1;
-            Some(SpecOutcome::Fallback(payload))
-        }
-    }
-
-    /// Whether no speculation is in flight.
-    pub fn is_idle(&self) -> bool {
-        self.inflight.is_none()
-    }
-
-    /// `(launched, committed, fallbacks)` counters (telemetry only).
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.launched, self.committed, self.fallbacks)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_shard_horizon_is_unbounded() {
-        let clk = ConservativeClock::new(1, SimDuration::from_millis(1));
-        assert_eq!(clk.safe_horizon(ShardId(0)), SimTime::MAX);
-    }
-
-    #[test]
-    fn horizon_tracks_min_other_clock_plus_lookahead() {
-        let mut clk = ConservativeClock::new(3, SimDuration::from_millis(5));
-        clk.advance(ShardId(1), SimTime::from_millis(10));
-        clk.advance(ShardId(2), SimTime::from_millis(20));
-        // Shard 0's horizon is bounded by shard 1 (the slowest other).
-        assert_eq!(clk.safe_horizon(ShardId(0)), SimTime::from_millis(15));
-        // Shard 1's horizon is bounded by shard 0, still at the epoch.
-        assert_eq!(clk.safe_horizon(ShardId(1)), SimTime::from_millis(5));
-        assert_eq!(clk.global_floor(), SimTime::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not move backwards")]
-    fn clock_regression_panics() {
-        let mut clk = ConservativeClock::new(2, SimDuration::ZERO);
-        clk.advance(ShardId(0), SimTime::from_millis(5));
-        clk.advance(ShardId(0), SimTime::from_millis(4));
-    }
-
-    #[test]
-    fn mailbox_delivery_is_deterministic() {
-        let t = SimTime::from_millis(7);
-        // Two senders race to the same destination at the same timestamp;
-        // delivery order must be (time, sender, seq) regardless of send
-        // interleaving.
-        let mut q: ShardedQueue<&'static str> = ShardedQueue::new(3);
-        q.send(ShardId(2), ShardId(0), t, "from-2");
-        q.send(ShardId(1), ShardId(0), t, "from-1");
-        q.send(ShardId(1), ShardId(0), t, "from-1-again");
-        q.deliver(ShardId(0));
-        let horizon = SimTime::from_millis(8);
-        let order: Vec<&str> =
-            std::iter::from_fn(|| q.pop_before(ShardId(0), horizon).map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["from-1", "from-1-again", "from-2"]);
-    }
-
-    #[test]
-    fn pop_before_respects_horizon() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::new(1);
-        q.push(ShardId(0), SimTime::from_millis(5), 5);
-        q.push(ShardId(0), SimTime::from_millis(10), 10);
-        assert_eq!(
-            q.pop_before(ShardId(0), SimTime::from_millis(10)),
-            Some((SimTime::from_millis(5), 5))
-        );
-        // The event at exactly the horizon stays queued.
-        assert_eq!(q.pop_before(ShardId(0), SimTime::from_millis(10)), None);
-        assert_eq!(q.peek_time(ShardId(0)), Some(SimTime::from_millis(10)));
-    }
-
-    #[test]
-    fn global_peek_covers_mailboxes() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::new(2);
-        assert!(q.is_empty());
-        q.push(ShardId(0), SimTime::from_millis(9), 1);
-        q.send(ShardId(0), ShardId(1), SimTime::from_millis(3), 2);
-        assert_eq!(q.global_peek_time(), Some(SimTime::from_millis(3)));
-        assert_eq!(q.len(), 2);
-        q.deliver(ShardId(1));
-        assert_eq!(q.peek_time(ShardId(1)), Some(SimTime::from_millis(3)));
-    }
 
     #[test]
     fn steal_deques_home_pops_are_fifo_and_free() {
@@ -512,33 +130,5 @@ mod tests {
         assert_eq!(d.drain_in_order(), vec![10, 20, 21]);
         assert_eq!(d.steals(), 0, "the inline path never steals");
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn spec_sequencer_commits_when_epoch_holds() {
-        let mut s: SpecSequencer<&str> = SpecSequencer::new();
-        assert!(s.is_idle());
-        assert_eq!(s.resolve(0), None);
-        s.launch(7, "batch-a");
-        assert!(!s.is_idle());
-        assert_eq!(s.resolve(7), Some(SpecOutcome::Commit("batch-a")));
-        assert_eq!(s.counters(), (1, 1, 0));
-    }
-
-    #[test]
-    fn spec_sequencer_falls_back_on_epoch_move() {
-        let mut s: SpecSequencer<&str> = SpecSequencer::new();
-        s.launch(3, "batch-b");
-        assert_eq!(s.resolve(4), Some(SpecOutcome::Fallback("batch-b")));
-        assert_eq!(s.counters(), (1, 0, 1));
-        assert!(s.is_idle());
-    }
-
-    #[test]
-    #[should_panic(expected = "already in flight")]
-    fn spec_sequencer_rejects_double_launch() {
-        let mut s: SpecSequencer<u32> = SpecSequencer::new();
-        s.launch(0, 1);
-        s.launch(0, 2);
     }
 }

@@ -48,10 +48,6 @@ pub mod prelude {
         ClusterConfig, Engine, FailureInjector, FailureSchedule, ParallelConfig, Policy, RunReport,
         ShardedEngine, Testbed,
     };
-    #[allow(deprecated)]
-    pub use kunserve::serving::{
-        run_system, run_system_sharded, run_system_sharded_with_failures, run_system_with_failures,
-    };
     pub use kunserve::serving::{Run, RunOutcome, ServingSession, SystemKind};
     pub use kunserve::{KunServeConfig, KunServePolicy};
     pub use sim_core::{SimDuration, SimTime};

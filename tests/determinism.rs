@@ -94,10 +94,8 @@ fn sharded_run_bytes(kind: SystemKind, seed: u64, workers: usize) -> String {
     let out = Run::new(kind, ClusterConfig::tiny_test(4), &trace)
         .drain(SimDuration::from_secs(600))
         .sharded(ParallelConfig {
-            workers,
             num_shards: 4,
-            lookahead: None,
-            speculation: false,
+            ..ParallelConfig::with_workers(workers)
         })
         .execute();
     format!(
@@ -163,10 +161,8 @@ fn sharded_multi_model_byte_identical_across_worker_counts() {
         let out = Run::new(SystemKind::KunServe, cfg, &trace)
             .drain(SimDuration::from_secs(900))
             .sharded(ParallelConfig {
-                workers,
                 num_shards: 4,
-                lookahead: None,
-                speculation: false,
+                ..ParallelConfig::with_workers(workers)
             })
             .execute();
         format!(
@@ -199,10 +195,8 @@ fn skewed_load_forces_steals_and_stays_byte_identical() {
         Run::new(SystemKind::KunServe, cfg, &trace)
             .drain(SimDuration::from_secs(600))
             .sharded(ParallelConfig {
-                workers,
                 num_shards: 4,
-                lookahead: None,
-                speculation: false,
+                ..ParallelConfig::with_workers(workers)
             })
             .execute()
     };
@@ -253,10 +247,8 @@ fn one_task_windows_never_wake_a_helper_and_stay_byte_identical() {
         )
         .drain(SimDuration::from_secs(300))
         .sharded(ParallelConfig {
-            workers,
             num_shards: 4,
-            lookahead: None,
-            speculation: false,
+            ..ParallelConfig::with_workers(workers)
         })
         .execute()
     };
@@ -276,45 +268,6 @@ fn one_task_windows_never_wake_a_helper_and_stay_byte_identical() {
             "{workers} workers must match 1"
         );
     }
-}
-
-/// The speculation matrix: KunServe (the one policy with a
-/// `plan_deferred`) with `speculation: true` must stay byte-identical
-/// across 1/2/4 workers — the commit/fallback decision is a pure function
-/// of the structural epoch — and must reproduce run-to-run.
-#[test]
-fn speculative_execution_byte_identical_across_worker_counts() {
-    let run = |workers: usize| {
-        let trace = trace_with_seed(0x5BEC);
-        let mut cfg = ClusterConfig::tiny_test(4);
-        cfg.reserve_frac = 0.45;
-        Run::new(SystemKind::KunServe, cfg, &trace)
-            .drain(SimDuration::from_secs(600))
-            .sharded(ParallelConfig {
-                workers,
-                num_shards: 4,
-                lookahead: None,
-                speculation: true,
-            })
-            .execute()
-    };
-    let bytes = |out: &RunOutcome| {
-        format!(
-            "{:?}|{:?}|{:?}",
-            out.report, out.report.per_model, out.state.metrics.reconfig_events
-        )
-    };
-    let one = run(1);
-    let stats = one.stats.expect("sharded stats");
-    assert_eq!(
-        stats.spec_committed + stats.spec_fallbacks,
-        stats.spec_launched,
-        "every speculative launch resolves exactly once"
-    );
-    let one_bytes = bytes(&one);
-    assert_eq!(one_bytes, bytes(&run(2)), "2 workers must match 1");
-    assert_eq!(one_bytes, bytes(&run(4)), "4 workers must match 1");
-    assert_eq!(one_bytes, bytes(&run(1)), "same seed must reproduce");
 }
 
 #[test]
@@ -404,10 +357,8 @@ fn diurnal_scenario_byte_identical_across_worker_counts() {
         let out = Run::new(SystemKind::KunServe, cfg, &trace)
             .drain(SimDuration::from_secs(600))
             .sharded(ParallelConfig {
-                workers,
                 num_shards: 4,
-                lookahead: None,
-                speculation: false,
+                ..ParallelConfig::with_workers(workers)
             })
             .execute();
         format!(
@@ -453,10 +404,8 @@ fn resilience_scenario_byte_identical_across_worker_counts() {
         Run::new(SystemKind::KunServe, cfg, &trace)
             .drain(SimDuration::from_secs(600))
             .sharded(ParallelConfig {
-                workers,
                 num_shards: 4,
-                lookahead: None,
-                speculation: false,
+                ..ParallelConfig::with_workers(workers)
             })
             .failures(&schedule)
             .execute()
@@ -499,18 +448,27 @@ fn fnv1a64(s: &str) -> u64 {
 const PIPELINED_BURST_SERIAL_FNV: u64 = 0xb35e_3302_ce25_40b3;
 const PIPELINED_BURST_SHARDED_FNV: u64 = 0xf573_edfe_aec3_278b;
 
-fn pipelined_burst(workers: Option<usize>) -> RunOutcome {
+/// `ShardStats::windows` and the report FNV-1a of `pipelined_burst` on one
+/// and on four steal lanes. With two or more lanes every window ends by
+/// `barrier + lookahead`; a single lane has no peer to wait for, so its
+/// windows are uncapped, it runs fewer of them, and its report differs.
+/// Re-record these only for an intended change to the window rule.
+const BURST_WINDOWS_1_LANE: u64 = 228;
+const BURST_WINDOWS_4_LANES: u64 = 445;
+const PIPELINED_BURST_1_LANE_FNV: u64 = 0x72e8_9b9e_abd9_9f36;
+
+/// The pipelined burst on the serial engine (`None`) or on the sharded
+/// executor with `(workers, num_shards)`.
+fn pipelined_burst(sharded: Option<(usize, usize)>) -> RunOutcome {
     let trace = trace_with_seed(0x601D);
     // A tight KV pool so the burst throttles memory and KunServe drops.
     let mut cfg = ClusterConfig::tiny_test(4);
     cfg.reserve_frac = 0.45;
     let mut run = Run::new(SystemKind::KunServe, cfg, &trace).drain(SimDuration::from_secs(600));
-    if let Some(workers) = workers {
+    if let Some((workers, num_shards)) = sharded {
         run = run.sharded(ParallelConfig {
-            workers,
-            num_shards: 4,
-            lookahead: None,
-            speculation: false,
+            num_shards,
+            ..ParallelConfig::with_workers(workers)
         });
     }
     run.execute()
@@ -520,12 +478,12 @@ fn pipelined_burst(workers: Option<usize>) -> RunOutcome {
 /// hashes must hold on both executors and at every worker count.
 #[test]
 fn pipelined_burst_matches_golden_report_hash() {
-    for (label, workers, golden) in [
+    for (label, sharded, golden) in [
         ("serial", None, PIPELINED_BURST_SERIAL_FNV),
-        ("sharded x1", Some(1), PIPELINED_BURST_SHARDED_FNV),
-        ("sharded x2", Some(2), PIPELINED_BURST_SHARDED_FNV),
+        ("sharded x1", Some((1, 4)), PIPELINED_BURST_SHARDED_FNV),
+        ("sharded x2", Some((2, 4)), PIPELINED_BURST_SHARDED_FNV),
     ] {
-        let out = pipelined_burst(workers);
+        let out = pipelined_burst(sharded);
         assert!(
             !out.state.metrics.reconfig_events.is_empty(),
             "{label}: the burst must drive KunServe into pipelined groups"
@@ -534,6 +492,29 @@ fn pipelined_burst_matches_golden_report_hash() {
         assert_eq!(
             hash, golden,
             "{label}: report hash {hash:#018x} differs from the golden {golden:#018x}"
+        );
+    }
+}
+
+/// Pins the window rule: windows end at `barrier + lookahead` with several
+/// lanes and are uncapped with one. Capping the single lane too, or
+/// dropping the cap, changes the window count and the report.
+#[test]
+fn window_rule_matches_golden_counts_at_1_and_4_lanes() {
+    for (lanes, windows, golden) in [
+        (1, BURST_WINDOWS_1_LANE, PIPELINED_BURST_1_LANE_FNV),
+        (4, BURST_WINDOWS_4_LANES, PIPELINED_BURST_SHARDED_FNV),
+    ] {
+        let out = pipelined_burst(Some((1, lanes)));
+        let stats = out.stats.expect("sharded stats");
+        assert_eq!(
+            stats.windows, windows,
+            "{lanes} lane(s): window count differs from the golden"
+        );
+        let hash = fnv1a64(&format!("{:?}", out.report));
+        assert_eq!(
+            hash, golden,
+            "{lanes} lane(s): report hash {hash:#018x} differs from the golden {golden:#018x}"
         );
     }
 }

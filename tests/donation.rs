@@ -165,10 +165,8 @@ fn sharded_donation_byte_identical_across_1_2_4_workers() {
         let out = Run::new(SystemKind::KunServe, donation_cluster(), &donation_trace())
             .drain(SimDuration::from_secs(900))
             .sharded(ParallelConfig {
-                workers,
                 num_shards: 4,
-                lookahead: None,
-                speculation: false,
+                ..ParallelConfig::with_workers(workers)
             })
             .execute();
         let spans = donated_spans(&out.state.metrics.reconfig_events);
@@ -567,10 +565,8 @@ proptest! {
         let out = Run::new(SystemKind::KunServe, cfg, &trace)
             .drain(SimDuration::from_secs(900))
             .sharded(ParallelConfig {
-                workers,
                 num_shards: 4,
-                lookahead: None,
-                speculation: false,
+                ..ParallelConfig::with_workers(workers)
             })
             .execute_observed(|state, now| {
                 check_step(state, now, &mut violations);

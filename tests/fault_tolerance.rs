@@ -277,10 +277,8 @@ fn rack_recovery_reloads_and_keeps_the_ledger_clean_on_both_executors() {
     let out = Run::new(SystemKind::KunServe, cfg, &trace)
         .drain(sc.drain)
         .sharded(ParallelConfig {
-            workers: 2,
             num_shards: 4,
-            lookahead: None,
-            speculation: false,
+            ..ParallelConfig::with_workers(2)
         })
         .failures(&schedule)
         .execute();

@@ -116,10 +116,8 @@ fn gateway_replay_is_byte_identical_to_batch_run_at_1_2_4_workers() {
     assert!(!trace.is_empty());
 
     let pcfg = |workers| ParallelConfig {
-        workers,
         num_shards: 4,
-        lookahead: None,
-        speculation: false,
+        ..ParallelConfig::with_workers(workers)
     };
     let mut fingerprints = Vec::new();
     for workers in [1, 2, 4] {
@@ -171,10 +169,8 @@ fn hot_swap_is_ledger_audited_and_worker_count_invariant() {
     let cfg = ClusterConfig::tiny_two_model(3, 2);
     let chat = ModelId(1);
     let pcfg = |workers| ParallelConfig {
-        workers,
         num_shards: 4,
-        lookahead: None,
-        speculation: false,
+        ..ParallelConfig::with_workers(workers)
     };
 
     let run = |workers: usize| -> String {

@@ -5,16 +5,10 @@
 //!
 //! The tests at the bottom are the **full Cluster A/B fidelity runs**:
 //! the complete fig. 12 scenarios at paper scale, every system in the
-//! lineup, with the paper's ordering claims asserted. The headline
-//! Cluster A run (`full_cluster_a_fidelity_burstgpt_14b`) is promoted
-//! into the default tier-1 wall — its five systems fan out over the
-//! parallel bench harness (`bench::harness`), so it costs roughly one
-//! system's wall-clock on a multicore host. The remaining fidelity runs
-//! stay `#[ignore]`d:
-//!
-//! ```text
-//! cargo test --release -- --ignored      # run them
-//! ```
+//! lineup, with the paper's ordering claims asserted, plus the fig. 18
+//! multi-model co-serving run. All of them run in the default tier-1
+//! wall; each fig. 12 lineup fans out over the parallel bench harness
+//! (`bench::harness`).
 
 use bench::{MultiScenario, Scenario};
 use kunserve::serving::Run;
@@ -108,19 +102,16 @@ fn full_cluster_a_fidelity_burstgpt_14b() {
 }
 
 #[test]
-#[ignore = "full Cluster A fidelity run (minutes); cargo test -- --ignored"]
 fn full_cluster_a_fidelity_sharegpt_14b() {
     assert_full_fidelity(&Scenario::sharegpt_14b());
 }
 
 #[test]
-#[ignore = "full Cluster B fidelity run (minutes); cargo test -- --ignored"]
 fn full_cluster_b_fidelity_longbench_72b() {
     assert_full_fidelity(&Scenario::longbench_72b());
 }
 
 #[test]
-#[ignore = "full multi-model co-serving run (minutes); cargo test -- --ignored"]
 fn full_fig18_multi_model_14b_chat_vs_72b_longctx() {
     let sc = MultiScenario::fig18_14b_chat_vs_72b_longctx();
     let vllm = sc.run(SystemKind::VllmDp);

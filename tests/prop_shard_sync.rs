@@ -1,211 +1,12 @@
-//! Property tests for the conservative time-sync primitives behind the
-//! sharded executor.
-//!
-//! The contract under test is the classic conservative-PDES invariant:
-//! if every inter-shard message is stamped at least `lookahead` past its
-//! sender's clock, and every shard only advances to its safe horizon
-//! (`min(other shards' clocks) + lookahead`), then no shard ever receives
-//! an event timestamped before its own clock — simulated time never runs
-//! backwards, at any interleaving of sends, advances and deliveries.
+//! Property tests for the work-stealing deques behind the sharded
+//! executor: for any push pattern and pop order, every item is popped
+//! exactly once and the steal counter counts exactly the cross-lane pops.
 
 use proptest::prelude::*;
-use sim_core::shard::{
-    ConservativeClock, ShardId, ShardedQueue, SpecOutcome, SpecSequencer, StealDeques,
-};
-use sim_core::{SimDuration, SimTime};
-
-/// One randomized scheduler step.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// Shard `from` sends to shard `to`, `slack` µs past the minimum
-    /// lookahead stamp.
-    Send { from: usize, to: usize, slack: u64 },
-    /// Shard `s` delivers its mailbox and processes events up to its safe
-    /// horizon, then advances its clock by `step` µs (capped at the
-    /// horizon).
-    Advance { s: usize, step: u64 },
-}
-
-fn op_strategy(shards: usize) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..shards, 0..shards, 0u64..50_000).prop_map(|(from, to, slack)| Op::Send {
-            from,
-            to,
-            slack
-        }),
-        (0..shards, 1u64..80_000).prop_map(|(s, step)| Op::Advance { s, step }),
-    ]
-}
+use sim_core::shard::StealDeques;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Inter-shard delivery respects the lookahead bound: every event a
-    /// shard pops is at or after the shard's clock, for arbitrary op
-    /// interleavings.
-    #[test]
-    fn conservative_delivery_never_rolls_time_back(
-        shards in 2usize..5,
-        lookahead_us in 100u64..20_000,
-        ops in proptest::collection::vec(op_strategy(4), 1..200),
-    ) {
-        let lookahead = SimDuration::from_micros(lookahead_us);
-        let mut clk = ConservativeClock::new(shards, lookahead);
-        let mut q: ShardedQueue<u64> = ShardedQueue::new(shards);
-        let mut sent = 0u64;
-        let mut received = 0u64;
-
-        for op in ops {
-            match op {
-                Op::Send { from, to, slack } => {
-                    let (from, to) = (from % shards, to % shards);
-                    if from == to {
-                        continue; // local events go through `push`
-                    }
-                    // The conservative send rule: stamp at least
-                    // `lookahead` past the sender's clock.
-                    let t = clk.clock(ShardId(from)) + lookahead
-                        + SimDuration::from_micros(slack);
-                    q.send(ShardId(from), ShardId(to), t, sent);
-                    sent += 1;
-                }
-                Op::Advance { s, step } => {
-                    let s = ShardId(s % shards);
-                    q.deliver(s);
-                    let horizon = clk.safe_horizon(s);
-                    // Process everything safely before the horizon; each
-                    // popped event must be at or after the local clock.
-                    while let Some((t, _ev)) = q.pop_before(s, horizon) {
-                        prop_assert!(
-                            t >= clk.clock(s),
-                            "shard {s:?} received an event at {t} before its clock {}",
-                            clk.clock(s)
-                        );
-                        clk.advance(s, t);
-                        received += 1;
-                    }
-                    let target = horizon.min(clk.clock(s) + SimDuration::from_micros(step));
-                    if target > clk.clock(s) {
-                        clk.advance(s, target);
-                    }
-                }
-            }
-        }
-
-        // Drain: everything still in flight must also respect the bound
-        // once the remaining shards catch up conservatively.
-        let mut drained = 0u64;
-        for _ in 0..10_000 {
-            let mut progressed = false;
-            for i in 0..shards {
-                let s = ShardId(i);
-                q.deliver(s);
-                let horizon = clk.safe_horizon(s);
-                while let Some((t, _)) = q.pop_before(s, horizon) {
-                    prop_assert!(t >= clk.clock(s));
-                    clk.advance(s, t);
-                    drained += 1;
-                    progressed = true;
-                }
-                if clk.clock(s) < horizon {
-                    clk.advance(s, horizon);
-                    progressed = true;
-                }
-            }
-            if q.is_empty() && !progressed {
-                break;
-            }
-            if q.is_empty() {
-                break;
-            }
-        }
-        prop_assert_eq!(received + drained, sent, "every message is delivered");
-    }
-
-    /// The speculative hook pipeline preserves the serial order under
-    /// arbitrary conflict patterns: batches resolve exactly once, in
-    /// launch order, and a batch commits iff the structural epoch did not
-    /// move between its launch barrier and the next one. This is the
-    /// executor's barrier protocol modelled over [`SpecSequencer`]: each
-    /// window may raise one hook batch and may bump the epoch (a
-    /// structural mutation) before the next barrier.
-    #[test]
-    fn speculative_resolution_matches_serial_order_under_conflicts(
-        windows in proptest::collection::vec((0u8..2, 0u8..2), 1..120),
-    ) {
-        let mut spec: SpecSequencer<u64> = SpecSequencer::new();
-        let mut epoch = 0u64;
-        let mut next_batch = 0u64;
-        // `(batch, committed)` in application order.
-        let mut applied: Vec<(u64, bool)> = Vec::new();
-        // What the serial executor would do: apply batches in raise order.
-        let mut raised: Vec<u64> = Vec::new();
-        // The independently tracked expectation for the in-flight batch:
-        // `(batch, no conflicting bump since its launch)`.
-        let mut inflight: Option<(u64, bool)> = None;
-
-        for (raise, bump) in windows.into_iter().map(|(r, b)| (r == 1, b == 1)) {
-            // Barrier: resolve last window's speculation first (the
-            // executor resolves before planning the next batch).
-            if let Some(outcome) = spec.resolve(epoch) {
-                let (expect_b, clean) = inflight.take().expect("a launch was recorded");
-                match outcome {
-                    SpecOutcome::Commit(b) => {
-                        prop_assert_eq!(b, expect_b, "resolution carries its own batch");
-                        prop_assert!(clean, "batch {} committed across a conflict", b);
-                        applied.push((b, true));
-                    }
-                    SpecOutcome::Fallback(b) => {
-                        prop_assert_eq!(b, expect_b, "resolution carries its own batch");
-                        prop_assert!(!clean, "batch {} fell back without a conflict", b);
-                        applied.push((b, false));
-                    }
-                }
-            }
-            prop_assert!(spec.is_idle(), "resolve() drains the pipeline");
-            prop_assert!(inflight.is_none(), "every launch resolves at the next barrier");
-            if raise {
-                raised.push(next_batch);
-                spec.launch(epoch, next_batch);
-                inflight = Some((next_batch, true));
-                next_batch += 1;
-            }
-            // The next window runs; a structural mutation may land at any
-            // barrier action in between.
-            if bump {
-                epoch += 1;
-                if let Some((_, clean)) = inflight.as_mut() {
-                    *clean = false;
-                }
-            }
-        }
-        // Final barrier: wind down the in-flight batch like the executor
-        // does at end of run.
-        if let Some(outcome) = spec.resolve(epoch) {
-            let (expect_b, clean) = inflight.take().expect("a launch was recorded");
-            match outcome {
-                SpecOutcome::Commit(b) => {
-                    prop_assert_eq!(b, expect_b);
-                    prop_assert!(clean);
-                    applied.push((b, true));
-                }
-                SpecOutcome::Fallback(b) => {
-                    prop_assert_eq!(b, expect_b);
-                    prop_assert!(!clean);
-                    applied.push((b, false));
-                }
-            }
-        }
-
-        // Every raised batch resolves exactly once, in raise order — the
-        // speculative pipeline never reorders or drops hook batches
-        // relative to the serial executor.
-        let applied_ids: Vec<u64> = applied.iter().map(|&(b, _)| b).collect();
-        prop_assert_eq!(&applied_ids, &raised, "commit order equals serial order");
-        let (launched, committed, fallbacks) = spec.counters();
-        prop_assert_eq!(launched, raised.len() as u64);
-        prop_assert_eq!(committed + fallbacks, launched);
-    }
 
     /// The steal deques conserve work: for any push pattern and any
     /// pop order (modelling workers racing over lanes), every item is
@@ -251,37 +52,5 @@ proptest! {
         // inline drain never counts).
         let cross = popped.iter().filter(|&&(home, from, _)| from != home).count();
         prop_assert_eq!(deques.steals(), cross as u64, "steals == cross-lane pops");
-    }
-
-    /// The safe horizon is exactly `min(other clocks) + lookahead`, and
-    /// advancing any shard never shrinks another shard's horizon.
-    #[test]
-    fn safe_horizon_is_monotone_in_other_clocks(
-        advances in proptest::collection::vec((0usize..3, 1u64..50_000), 1..60),
-    ) {
-        let lookahead = SimDuration::from_micros(500);
-        let mut clk = ConservativeClock::new(3, lookahead);
-        let mut prev_horizons = [SimTime::ZERO; 3];
-        for (s, step) in advances {
-            let s = ShardId(s % 3);
-            let target = clk
-                .safe_horizon(s)
-                .min(clk.clock(s) + SimDuration::from_micros(step));
-            if target > clk.clock(s) {
-                clk.advance(s, target);
-            }
-            for (i, prev) in prev_horizons.iter_mut().enumerate() {
-                let h = clk.safe_horizon(ShardId(i));
-                prop_assert!(h >= *prev, "horizons only grow as clocks advance");
-                *prev = h;
-                // Exact form of the rule.
-                let min_other = (0..3)
-                    .filter(|&j| j != i)
-                    .map(|j| clk.clock(ShardId(j)))
-                    .min()
-                    .expect("two other shards");
-                prop_assert_eq!(h, min_other.saturating_add(lookahead));
-            }
-        }
     }
 }
