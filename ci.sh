@@ -5,6 +5,9 @@
 #   fmt     cargo fmt --check
 #   build   release build, all targets
 #   test    cargo test across the workspace
+#   perfbench  build and test the benchmark package (its own workspace,
+#           compiled against the workspace crates' public names), so a
+#           refactor cannot break the benchmark unnoticed
 #   clippy  clippy with -D warnings
 #   lint    simlint determinism & unsafe-memory pass (D-*/U-* rules):
 #           zero unsuppressed diagnostics, report schema + budget gated
@@ -30,7 +33,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt build test clippy lint smoke scenarios gateway scale)
+ALL_STAGES=(fmt build test perfbench clippy lint smoke scenarios gateway scale)
 TIMINGS_JSON=target/ci-timings.json
 STAGE_NAMES=()
 STAGE_MS=()
@@ -92,6 +95,10 @@ stage_build() {
 
 stage_test() {
     cargo test -q --workspace --offline
+}
+
+stage_perfbench() {
+    cargo test --offline -q --manifest-path perfbench/Cargo.toml
 }
 
 stage_clippy() {

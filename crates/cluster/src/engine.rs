@@ -3,17 +3,25 @@
 //! Drives request arrivals, continuous-batching iterations (with chunked
 //! prefill and pipeline execution), network transfer completions and monitor
 //! ticks through one deterministic event queue. Policies are consulted at
-//! the decision points described in [`crate::policy`].
+//! the decision points described in [`crate::policy`], inline at the moment
+//! they arise. The group iteration itself (admission, work collection,
+//! launch, completion) is the kernel in [`crate::iteration`], shared with
+//! the sharded executor; this module keeps the event loop, the policy
+//! hooks around the kernel, and decode-growth reservation with its inline
+//! OOM chain.
 
-use costmodel::ChunkWork;
+use kvcache::SeqKey;
 use sim_core::{EventQueue, SimDuration, SimTime};
 use workload::{RequestSpec, Trace};
 
-use crate::batch::{aggregate_progress, MicroBatch, SeqChunk};
+use crate::batch::MicroBatch;
 use crate::config::ClusterConfig;
-use crate::group::{GroupId, IterationPlan};
-use crate::pipeline::{schedule, StageTiming};
-use crate::policy::Policy;
+use crate::group::GroupId;
+use crate::iteration::{
+    admit_fitting, collect_work, complete_iteration, decode_tokens_per_iter, launch_iteration,
+    Launch,
+};
+use crate::policy::{OomResolution, Policy};
 use crate::request::{ReqState, Request, RequestId};
 use crate::state::{CancelOutcome, ClusterState};
 
@@ -23,112 +31,6 @@ enum Event {
     GroupDone { group: GroupId, seq: u64 },
     MonitorTick,
     NetPoll,
-}
-
-/// Read-only access to the request table — the serial engine reads the
-/// `ClusterState` slice directly, the sharded executor reads through its
-/// disjoint-ownership raw table. Sharing the iteration-collection logic
-/// below through this trait keeps the two executors' batching rules from
-/// drifting apart.
-pub(crate) trait ReqRead {
-    /// Borrows one request.
-    fn read(&self, id: RequestId) -> &Request;
-}
-
-impl ReqRead for [Request] {
-    fn read(&self, id: RequestId) -> &Request {
-        &self[id.0]
-    }
-}
-
-/// Tokens each in-decode request advances per iteration.
-///
-/// Single-stage groups decode one token per iteration (classic
-/// continuous batching). Pipelined groups stream microbatches back to
-/// back, so over one engine iteration (`m` microbatches, `s` stages)
-/// each microbatch cycles roughly `m/s + 1` times, one decode step per
-/// cycle. Modelling this as one multi-token decode chunk keeps
-/// per-token latency faithful to continuous pipeline streaming without
-/// per-cycle event traffic; the Eq. 1 cost of a `(p, K)` chunk equals
-/// the summed cost of `K` single-token steps exactly.
-pub(crate) fn decode_tokens_per_iter(stages: usize, cfg: &ClusterConfig) -> u64 {
-    if stages == 1 {
-        1
-    } else {
-        // With `m = microbatches_per_stage × s` microbatches the
-        // makespan spans `(m+s−1)/s ≈ microbatches_per_stage + 1`
-        // single-batch times; advancing `microbatches_per_stage`
-        // tokens per iteration leaves pipelined TPOT ~25–40 % above
-        // single-stage TPOT — the Fig. 5 depth gradient.
-        cfg.microbatches_per_stage as u64
-    }
-}
-
-/// Collects one iteration's work for a group: a decode chunk per running
-/// decode request plus budget-bounded prefill chunks in arrival order.
-/// Shared verbatim by both executors (see [`ReqRead`]).
-pub(crate) fn collect_work<R: ReqRead + ?Sized>(
-    g: &crate::group::ExecGroup,
-    reqs: &R,
-    cfg: &ClusterConfig,
-    skipped: &[RequestId],
-) -> Vec<SeqChunk> {
-    let rounds = decode_tokens_per_iter(g.stages(), cfg);
-    let stages = g.stages() as u64;
-    let budget = if stages == 1 {
-        cfg.token_budget
-    } else {
-        // One token budget per microbatch keeps every microbatch as
-        // dense as a single-stage batch.
-        cfg.token_budget * stages * cfg.microbatches_per_stage as u64
-    };
-    let mut work = Vec::with_capacity(g.running.len());
-    let mut used = 0u64;
-    let mut prefills: Vec<RequestId> = Vec::new();
-    for &r in &g.running {
-        if skipped.contains(&r) {
-            continue; // no KV slot this iteration (swap in flight)
-        }
-        let req = reqs.read(r);
-        if req.state != ReqState::Running {
-            continue;
-        }
-        if req.in_decode() {
-            if !req.is_done() {
-                let n = rounds.min(req.output_remaining()).max(1);
-                work.push(SeqChunk {
-                    request: r,
-                    work: ChunkWork {
-                        prefix_tokens: req.kv_tokens(),
-                        new_tokens: n,
-                    },
-                });
-                used += n;
-            }
-        } else {
-            prefills.push(r);
-        }
-    }
-    prefills.sort_by_key(|&r| (reqs.read(r).spec.arrival, r));
-    for r in prefills {
-        if used >= budget {
-            break;
-        }
-        let req = reqs.read(r);
-        let chunk = req.prefill_remaining().min(budget - used);
-        if chunk == 0 {
-            continue;
-        }
-        work.push(SeqChunk {
-            request: r,
-            work: ChunkWork {
-                prefix_tokens: req.prefilled,
-                new_tokens: chunk,
-            },
-        });
-        used += chunk;
-    }
-    work
 }
 
 /// The simulation engine: cluster state + policy + event queue.
@@ -141,9 +43,6 @@ pub struct Engine<P: Policy> {
     now: SimTime,
     finished: usize,
     total: usize,
-    /// Earliest `NetPoll` currently queued; dedupes the poll events that
-    /// every group-done/reconfig used to push redundantly.
-    net_poll_at: Option<SimTime>,
     /// Reused scratch buffer for group sweeps (avoids a `Vec` allocation
     /// per monitor tick / net poll).
     groups_buf: Vec<GroupId>,
@@ -174,7 +73,6 @@ impl<P: Policy> Engine<P> {
             now: SimTime::ZERO,
             finished: 0,
             total: 0,
-            net_poll_at: None,
             groups_buf: Vec::new(),
             decodes_buf: Vec::new(),
             progress_pos: Vec::new(),
@@ -268,9 +166,7 @@ impl<P: Policy> Engine<P> {
                 Event::GroupDone { group, seq } => self.on_group_done(group, seq),
                 Event::MonitorTick => self.on_monitor_tick(),
                 Event::NetPoll => {
-                    if self.net_poll_at == Some(t) {
-                        self.net_poll_at = None;
-                    }
+                    self.state.net_poll_fired(t);
                     self.on_net_poll()
                 }
             }
@@ -408,7 +304,12 @@ impl<P: Policy> Engine<P> {
         if !self.state.group_alive(group) || self.state.group(group).iter_seq != seq {
             return; // stale event from a reconfigured group
         }
-        self.complete_iteration(group);
+        // Metrics are recorded as the kernel emits them.
+        let st = &mut self.state;
+        let g = st.groups[group.0].as_mut().expect("group is alive");
+        let metrics = &mut st.metrics;
+        self.finished +=
+            complete_iteration(g, &mut st.requests[..], self.now, |ev| metrics.record(ev));
         // The just-idled group is the window where deferred cancels of its
         // running requests can land (no-op in batch runs).
         self.retry_cancels();
@@ -420,11 +321,8 @@ impl<P: Policy> Engine<P> {
     }
 
     fn on_monitor_tick(&mut self) {
-        let (demand, capacity, used) = self.state.memory_totals();
         let now = self.now;
-        self.state.metrics.mem_demand.push(now, demand as f64);
-        self.state.metrics.mem_capacity.push(now, capacity as f64);
-        self.state.metrics.mem_used.push(now, used as f64);
+        self.state.sample_memory(now);
         // The elastic-HBM safety net: params + KV + donations + reserve
         // within HBM on every device, donations reclaimed before restore.
         #[cfg(debug_assertions)]
@@ -524,40 +422,28 @@ impl<P: Policy> Engine<P> {
     }
 
     fn schedule_net_poll(&mut self) {
-        if let Some(est) = self.state.network.next_completion_estimate() {
-            let at = est.max(self.now);
-            // Dedupe: only queue a poll if none is pending at or before the
-            // estimate. Group-done bursts used to push dozens of identical
-            // polls per completion, each costing a heap op and a full
-            // group sweep on pop.
-            match self.net_poll_at {
-                Some(t) if t <= at => {}
-                _ => {
-                    self.events.push(at, Event::NetPoll);
-                    self.net_poll_at = Some(at);
-                }
-            }
+        if let Some(at) = self.state.arm_net_poll(self.now) {
+            self.events.push(at, Event::NetPoll);
         }
+    }
+
+    /// Whether `group` is alive and not frozen for a reconfiguration. A
+    /// policy hook may kill or freeze the group it was called for.
+    fn runnable(&self, group: GroupId) -> bool {
+        self.state.group_alive(group) && !self.state.group(group).frozen
     }
 
     /// Starts an iteration on the group if it is idle and has work.
     pub fn try_start(&mut self, group: GroupId) {
-        if !self.state.group_alive(group) {
+        if !self.runnable(group) || self.state.group(group).is_busy() {
             return;
         }
-        {
-            let g = self.state.group(group);
-            if g.is_busy() || g.frozen {
-                return;
-            }
-        }
-
         self.admit(group);
-        if !self.state.group_alive(group) || self.state.group(group).frozen {
+        if !self.runnable(group) {
             return;
         }
         let skipped = self.reserve_decode_growth(group);
-        if !self.state.group_alive(group) || self.state.group(group).frozen {
+        if !self.runnable(group) {
             return; // an OOM handler requested a reconfiguration
         }
 
@@ -570,103 +456,45 @@ impl<P: Policy> Engine<P> {
         if work.is_empty() {
             return;
         }
-
-        let stages = self.state.group(group).stages();
-        let mbs: Vec<MicroBatch> = if stages == 1 {
+        let mbs: Vec<MicroBatch> = if self.state.group(group).stages() == 1 {
             // Single-stage groups execute the whole collection as one
             // batch; move the chunks instead of cloning them.
             vec![MicroBatch { chunks: work }]
         } else {
             self.policy.form_microbatches(&self.state, group, &work)
         };
-        debug_assert!(!mbs.is_empty(), "non-empty work forms microbatches");
-
-        // Sample execution times per (microbatch, stage) from the serving
-        // model's ground truth.
-        let model = self.state.group(group).model;
-        let fracs = self.state.group(group).stage_fracs.clone();
-        let mut times = Vec::with_capacity(mbs.len());
-        for mb in &mbs {
-            let works = mb.works();
-            let row: Vec<SimDuration> = fracs
-                .iter()
-                .map(|&f| {
-                    self.state.ground_truths[model.0 as usize].sample(
-                        &works,
-                        f,
-                        &mut self.state.rng,
-                    )
-                })
-                .collect();
-            times.push(row);
-        }
-        let timing = StageTiming { times };
 
         let overhead = self.state.take_overhead(group);
-        let start = self.now + overhead;
-        let (makespan, bubble_frac) = if stages == 1 {
-            (timing.times[0][0], 0.0)
-        } else {
-            let members = self.state.group(group).members.clone();
-            let act_per_token = self.state.cfg.model_cfg(model).activation_bytes_per_token();
-            let mb_tokens: Vec<u64> = mbs.iter().map(|m| m.new_tokens()).collect();
-            let network = &mut self.state.network;
-            let sched = schedule(start, &timing, |mb, boundary, send| {
-                let bytes = (mb_tokens[mb] * act_per_token).max(1);
-                network.interactive(
-                    send,
-                    netsim::NodeId(members[boundary].0),
-                    netsim::NodeId(members[boundary + 1].0),
-                    bytes,
-                )
-            });
-            (sched.makespan, sched.bubble_frac())
+        let st = &mut self.state;
+        let g = st.groups[group.0].as_mut().expect("group is alive");
+        let at = Launch {
+            now: self.now,
+            overhead,
+            rng: &mut st.rng,
+            progress_pos: &mut self.progress_pos,
         };
-
-        // Aggregate per-request token progress from the final microbatches
-        // (a former may split one request's chunk across microbatches).
-        let per_req = aggregate_progress(&mbs, &mut self.progress_pos);
-        let new_tokens: u64 = per_req.iter().map(|&(_, t)| t).sum();
-
-        let finish = start + makespan;
-        let g = self.state.group_mut(group);
-        g.iter_seq += 1;
-        let seq = g.iter_seq;
-        g.busy_until = Some(finish);
-        g.current_iter = Some(IterationPlan {
-            work: per_req,
-            started: self.now,
-            duration: finish - self.now,
-            bubble_frac,
-            new_tokens,
+        let network = &mut st.network;
+        let finish = launch_iteration(g, mbs, &st.cfg, &st.ground_truths, at, |s, d, b, t| {
+            network.interactive(t, s, d, b)
         });
+        let seq = g.iter_seq;
         self.events.push(finish, Event::GroupDone { group, seq });
     }
 
     /// Admits queued requests while blocks allow; consults the policy once
-    /// when blocked.
+    /// when blocked, then admits what fits after it acted.
     fn admit(&mut self, group: GroupId) {
-        let mut asked_policy = false;
-        loop {
-            let head = match self.state.group(group).queue.front() {
-                Some(&h) => h,
-                None => return,
-            };
-            if self.state.try_admit(head, group) {
-                let g = self.state.group_mut(group);
-                g.queue.pop_front();
-                g.running.push(head);
-                continue;
-            }
-            if asked_policy {
-                return;
-            }
-            asked_policy = true;
-            self.policy
-                .on_admission_blocked(&mut self.state, self.now, group);
-            if !self.state.group_alive(group) || self.state.group(group).frozen {
-                return;
-            }
+        let admit = |st: &mut ClusterState| {
+            let g = st.groups[group.0].as_mut().expect("group is alive");
+            admit_fitting(g, &mut st.requests[..])
+        };
+        if !admit(&mut self.state) {
+            return;
+        }
+        self.policy
+            .on_admission_blocked(&mut self.state, self.now, group);
+        if self.runnable(group) {
+            admit(&mut self.state);
         }
     }
 
@@ -693,26 +521,24 @@ impl<P: Policy> Engine<P> {
             let want = rounds
                 .min(self.state.requests[r.0].output_remaining())
                 .max(1);
-            loop {
-                let ok = {
-                    let g = self.state.group_mut(group);
-                    g.blocks
-                        .append_tokens(kvcache::SeqKey(r.0 as u64), want)
-                        .is_ok()
-                };
-                if ok {
-                    break;
-                }
+            let key = SeqKey(r.0 as u64);
+            while self
+                .state
+                .group_mut(group)
+                .blocks
+                .append_tokens(key, want)
+                .is_err()
+            {
                 match self
                     .policy
                     .on_decode_oom(&mut self.state, self.now, group, r)
                 {
-                    crate::policy::OomResolution::Retry => continue,
-                    crate::policy::OomResolution::SkipIteration => {
+                    OomResolution::Retry => continue,
+                    OomResolution::SkipIteration => {
                         skipped.push(r);
                         break;
                     }
-                    crate::policy::OomResolution::GiveUp => {
+                    OomResolution::GiveUp => {
                         // Guaranteed-progress fallback: recompute preemption.
                         match self.state.preempt_youngest(group) {
                             Some(victim) if victim != r => continue,
@@ -724,68 +550,6 @@ impl<P: Policy> Engine<P> {
         }
         self.decodes_buf = decodes;
         skipped
-    }
-
-    /// Applies a finished iteration: token progress, first-token metrics,
-    /// completions and block releases.
-    fn complete_iteration(&mut self, group: GroupId) {
-        let plan = {
-            let g = self.state.group_mut(group);
-            g.busy_until = None;
-            g.current_iter.take()
-        };
-        let Some(plan) = plan else { return };
-        let now = self.now;
-        self.state
-            .metrics
-            .iterations
-            .push(now, plan.duration.as_secs_f64());
-        if self.state.group(group).stages() > 1 {
-            self.state.metrics.bubbles.push(now, plan.bubble_frac);
-        }
-        let mut emitted = 0u64;
-        for (r, ntok) in plan.work {
-            let req = &self.state.requests[r.0];
-            if req.state != ReqState::Running || req.group != group {
-                continue; // preempted / migrated mid-iteration
-            }
-            let was_decoding = req.in_decode();
-            {
-                let req = &mut self.state.requests[r.0];
-                if was_decoding {
-                    req.generated += ntok;
-                    emitted += ntok;
-                } else {
-                    req.prefilled = (req.prefilled + ntok).min(req.prefill_target());
-                    if req.in_decode() {
-                        // Prefill completion emits one token (the first for
-                        // fresh requests; the resumed token after recompute).
-                        if req.first_token_at.is_none() {
-                            req.first_token_at = Some(now);
-                            req.generated = req.generated.max(1);
-                            self.state.metrics.on_first_token(r, now);
-                        } else {
-                            req.generated += 1;
-                        }
-                        emitted += 1;
-                    }
-                }
-            }
-            if self.state.requests[r.0].is_done() {
-                self.state.release_blocks(r);
-                let req = &mut self.state.requests[r.0];
-                req.state = ReqState::Finished;
-                req.finished_at = Some(now);
-                let met = self.state.requests[r.0].deadline_met_at(now);
-                self.state.metrics.on_finish_outcome(met);
-                self.state.metrics.on_finished(r, now);
-                self.state.group_mut(group).forget(r);
-                self.finished += 1;
-            }
-        }
-        if emitted > 0 {
-            self.state.metrics.on_tokens(now, emitted);
-        }
     }
 }
 

@@ -33,6 +33,7 @@ pub mod failure;
 pub mod former;
 pub mod group;
 pub mod instance;
+mod iteration;
 pub mod ledger;
 pub mod metrics;
 pub mod pipeline;

@@ -7,6 +7,20 @@ use workload::ModelId;
 
 use crate::request::RequestId;
 
+/// One metric update of a group iteration, produced by
+/// [`crate::iteration::complete_iteration`]. The serial engine records
+/// each at once; the sharded executor logs them per group and records
+/// them at the barrier in a deterministic merge order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum MetricEvent {
+    FirstToken(RequestId, SimTime),
+    /// A request finished; the flag says whether it met its deadline.
+    Finished(RequestId, SimTime, bool),
+    Tokens(SimTime, u64),
+    Iteration(SimTime, f64),
+    Bubble(SimTime, f64),
+}
+
 /// Latency record of one finished (or in-flight) request.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestRecord {
@@ -160,6 +174,20 @@ impl Metrics {
     pub fn on_tokens(&mut self, now: SimTime, n: u64) {
         self.total_tokens += n;
         self.tokens.record(now, n as f64);
+    }
+
+    /// Applies one iteration metric update.
+    pub(crate) fn record(&mut self, ev: MetricEvent) {
+        match ev {
+            MetricEvent::FirstToken(r, t) => self.on_first_token(r, t),
+            MetricEvent::Finished(r, t, met) => {
+                self.on_finish_outcome(met);
+                self.on_finished(r, t);
+            }
+            MetricEvent::Tokens(t, n) => self.on_tokens(t, n),
+            MetricEvent::Iteration(t, d) => self.iterations.push(t, d),
+            MetricEvent::Bubble(t, f) => self.bubbles.push(t, f),
+        }
     }
 
     /// Records a reconfiguration (drop/restore) marker.

@@ -51,11 +51,6 @@
 //! arrival / deferred local event instead of idling through empty
 //! lookahead-sized windows.
 //!
-//! Barrier-deferred reactive hooks (`on_admission_blocked`,
-//! `on_decode_oom`) run serially on the coordinator at the barrier that
-//! follows the window which raised them — KunServe starts a drop round
-//! when the throttling event is observed (paper §4.1–§4.2).
-//!
 //! # Determinism
 //!
 //! Same seed ⇒ byte-identical [`RunReport`] at any worker count. This
@@ -79,13 +74,26 @@
 //!
 //! # Divergence from the serial engine
 //!
-//! The sharded executor is a *conservative approximation* of
-//! [`crate::engine::Engine`], not a bit-equal replacement: policy hooks
-//! that the serial engine fires mid-iteration (`on_admission_blocked`,
-//! `on_decode_oom`) are deferred to the next barrier (bounded by the
-//! lookahead), and intra-group activation transfers use an uncontended
-//! link model instead of sharing `netsim` links with bulk traffic. Both
-//! executors are individually deterministic; compare like with like.
+//! Both executors run the same group iteration, the kernel in
+//! [`crate::iteration`]: admission, work collection, launch and
+//! completion. The sharded executor is still a *conservative
+//! approximation* of [`crate::engine::Engine`], not a bit-equal
+//! replacement. It differs in exactly three ways:
+//!
+//! - **Hooks deferred.** Where admission blocks, the task flags the group;
+//!   where decode-growth reservation runs out of blocks, it flags the
+//!   request and skips its decode this iteration. The barrier that follows
+//!   runs `on_admission_blocked` and `on_decode_oom` (and the recompute
+//!   fallback on `GiveUp`) serially on the coordinator; the serial engine
+//!   runs them inline. Either way KunServe starts a drop round when the
+//!   throttling event is observed (paper §4.1–§4.2).
+//! - **Uncontended activation links.** Pipelined groups forward
+//!   activations over a task-local [`LocalLinks`] model instead of sharing
+//!   `netsim` links with bulk traffic.
+//! - **Per-group RNG stream.** Execution-time noise comes from a stream
+//!   seeded by `(seed, group id)`, not the cluster-wide RNG.
+//!
+//! Both executors are individually deterministic; compare like with like.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -107,13 +115,15 @@ use sim_core::shard::StealDeques;
 use sim_core::{EventQueue, SimDuration, SimTime};
 use workload::Trace;
 
-use crate::batch::{aggregate_progress, MicroBatch};
+use crate::batch::MicroBatch;
 use crate::config::ClusterConfig;
-use crate::engine::{collect_work, decode_tokens_per_iter, ReqRead};
 use crate::former::MicrobatchFormerSpec;
-use crate::group::{ExecGroup, GroupId, IterationPlan};
-use crate::metrics::RunReport;
-use crate::pipeline::{schedule, StageTiming};
+use crate::group::{ExecGroup, GroupId};
+use crate::iteration::{
+    admit_fitting, collect_work, complete_iteration, decode_tokens_per_iter, launch_iteration,
+    Launch, ReqAccess,
+};
+use crate::metrics::{MetricEvent, RunReport};
 use crate::policy::{DeferredHooks, OomResolution, Policy};
 use crate::request::{ReqState, Request, RequestId};
 use crate::state::{CancelOutcome, ClusterState};
@@ -204,17 +214,6 @@ enum LocalEvent {
 enum GlobalEvent {
     MonitorTick,
     NetPoll,
-}
-
-/// Metric deltas a task records during a window, merged into the global
-/// [`crate::metrics::Metrics`] at the barrier in deterministic order.
-#[derive(Debug, Clone, Copy)]
-enum MetricEvent {
-    FirstToken(RequestId, SimTime),
-    Finished(RequestId, SimTime),
-    Tokens(SimTime, u64),
-    Iteration(SimTime, f64),
-    Bubble(SimTime, f64),
 }
 
 /// Key of one per-slot log head in the barrier merge:
@@ -361,13 +360,6 @@ struct ReqTable {
 // is live (views are rebuilt at every barrier; session injections grow
 // the `Vec` only between windows).
 unsafe impl Send for ReqTable {}
-// SAFETY: concurrent `&ReqTable` use is sound under the same
-// ownership-transfer argument: within a window, slot tasks dereference
-// pairwise-disjoint sets of requests — whichever workers the tasks were
-// stolen by — so no two threads ever hold references to the same
-// `Request` at the same time. Debug builds verify this disjointness at
-// runtime via the shadow-ownership table.
-unsafe impl Sync for ReqTable {}
 
 /// Debug-build shadow-ownership table: one atomic tag per request slot
 /// recording which group slot's task last touched it and in which
@@ -438,31 +430,33 @@ impl ReqTable {
         }
     }
 
-    /// Dereferences one request. Callers must uphold the [`ReqTable`]
-    /// ownership contract and must not hold two references to the same
-    /// request at once.
-    #[allow(clippy::mut_from_ref)]
-    // SAFETY: (declaration) callers must only pass ids of requests owned
-    // by this view's slot task in the current window; see the type-level
-    // ownership-transfer contract.
-    unsafe fn req<'a>(&self, id: RequestId) -> &'a mut Request {
-        debug_assert!(id.0 < self.len, "request id in bounds");
+    /// Checks that `id` is in bounds; debug builds also record the access
+    /// in the shadow-ownership table.
+    fn claim(&self, id: RequestId) {
+        assert!(id.0 < self.len, "request id in bounds");
         #[cfg(debug_assertions)]
         self.shadow.claim(id.0, self.slot, self.epoch);
-        // SAFETY: `id` is in bounds (asserted above) and, per the
-        // ownership-transfer contract the caller upholds, no other task
-        // touches this element during the current window.
-        unsafe { &mut *self.ptr.add(id.0) }
     }
 }
 
-impl ReqRead for ReqTable {
-    fn read(&self, id: RequestId) -> &Request {
-        // Shared-read view under the same ownership contract: within a
-        // window only the owning slot task touches this request at all.
-        // SAFETY: delegated to the `req` contract — the callers of `read`
-        // (work collection) only name requests of the task's own group.
-        unsafe { self.req(id) }
+/// Callers must uphold the [`ReqTable`] ownership contract: a slot task
+/// names only requests of its own group. Within one view, `&self` /
+/// `&mut self` keep references to a request from aliasing.
+impl ReqAccess for ReqTable {
+    fn get(&self, id: RequestId) -> &Request {
+        self.claim(id);
+        // SAFETY: `id` is in bounds (asserted by `claim`) and, per the
+        // ownership-transfer contract, no other task touches this element
+        // during the current window; this view hands out no `&mut` to it
+        // while the returned reference lives.
+        unsafe { &*self.ptr.add(id.0) }
+    }
+
+    fn get_mut(&mut self, id: RequestId) -> &mut Request {
+        self.claim(id);
+        // SAFETY: as in `get`; the exclusive borrow of this view rules out
+        // any other live reference through it.
+        unsafe { &mut *self.ptr.add(id.0) }
     }
 }
 
@@ -500,9 +494,9 @@ struct GroupRuntime {
     /// Decode-OOM events this window (deferred `Policy::on_decode_oom`).
     oom: Vec<RequestId>,
     /// Pending start-up overhead (VMM remap) moved in with the group.
-    overhead: Option<SimDuration>,
-    /// Reused position index for [`aggregate_progress`]; per runtime so
-    /// concurrently running tasks never share it.
+    overhead: SimDuration,
+    /// Reused position index for the kernel's progress aggregation; per
+    /// runtime so concurrently running tasks never share it.
     progress_pos: Vec<u32>,
     /// Reused scratch for decode-growth reservation (the in-decode
     /// running requests, and those skipping this iteration on OOM).
@@ -524,7 +518,7 @@ impl GroupRuntime {
             finished: 0,
             blocked: false,
             oom: Vec::new(),
-            overhead: None,
+            overhead: SimDuration::ZERO,
             progress_pos: Vec::new(),
             decodes: Vec::new(),
             skipped: Vec::new(),
@@ -574,7 +568,7 @@ fn group_rng(seed: u64, gid: GroupId) -> SmallRng {
 /// Advances one group through the window `[rt.clock, w_end)`: checks for a
 /// startable iteration, then processes local events in time order. Pure
 /// with respect to everything outside the task.
-fn run_window(rt: &mut GroupRuntime, table: &ReqTable, ctx: &ReadCtx, w_end: SimTime) {
+fn run_window(rt: &mut GroupRuntime, table: &mut ReqTable, ctx: &ReadCtx, w_end: SimTime) {
     // Barrier actions (arrival dispatch, unstalls, reconfigs, preemptions)
     // may have made the group startable: sweep once at window start, like
     // the serial engine does after each tick/poll.
@@ -593,6 +587,7 @@ fn run_window(rt: &mut GroupRuntime, table: &ReqTable, ctx: &ReadCtx, w_end: Sim
             rt.clock
         );
         rt.clock = t;
+        let g = rt.group.as_mut().expect("group checked out");
         match ev {
             LocalEvent::Arrival(id) => {
                 // Dispatch (group choice) already happened at the barrier,
@@ -600,298 +595,97 @@ fn run_window(rt: &mut GroupRuntime, table: &ReqTable, ctx: &ReadCtx, w_end: Sim
                 // task's group. A mismatch is routing corruption, not
                 // staleness: dropping the event would lose the request
                 // silently.
-                let (group, terminal) = {
-                    // SAFETY: the arrival was dispatched to this task's
-                    // group at the barrier, so ownership of the request
-                    // travels with this task (stolen or not) this window;
-                    // the reference is dropped within the block.
-                    let req = unsafe { table.req(id) };
-                    (req.group, req.is_terminal())
-                };
-                if terminal {
+                let req = table.get(id);
+                if req.is_terminal() {
                     // Cancelled at a barrier between dispatch and this
                     // window processing the arrival: the event is stale.
                     continue;
                 }
-                let g = rt.group.as_mut().expect("group checked out");
                 assert_eq!(
-                    group, g.id,
+                    req.group, g.id,
                     "slot {}: arrival routed to the wrong group task",
                     rt.slot
                 );
                 g.queue.push_back(id);
-                try_start(rt, table, ctx);
             }
             LocalEvent::GroupDone { seq } => {
-                if rt.group.as_ref().expect("group checked out").iter_seq != seq {
+                if g.iter_seq != seq {
                     continue; // superseded by a barrier-time preemption
                 }
-                complete_iteration(rt, table);
-                try_start(rt, table, ctx);
+                let log = &mut rt.log;
+                rt.finished += complete_iteration(g, table, t, |ev| log.push((t, ev)));
             }
         }
+        try_start(rt, table, ctx);
     }
     if rt.clock < w_end {
         rt.clock = w_end;
     }
 }
 
-/// Task-local mirror of `Engine::try_start`, with the two policy hooks
-/// replaced by barrier-deferred flags:
-///
-/// - head-of-line admission blocked → flag the group; admission for this
-///   window stops (requests keep queuing, exactly what the serial engine
-///   does when the policy declines to free memory);
-/// - decode OOM → flag the request and skip its decode this iteration
-///   (the serial `SkipIteration` resolution). The barrier invokes the
-///   real policy hook and, if it gives up, applies the guaranteed-progress
-///   recompute preemption there.
-fn try_start(rt: &mut GroupRuntime, table: &ReqTable, ctx: &ReadCtx) {
-    {
-        let g = rt.group.as_ref().expect("group checked out");
-        if g.is_busy() || g.frozen {
-            return;
-        }
+/// Starts an iteration on the group if it is idle and has work: the
+/// kernel's steps, with the two policy hooks replaced by barrier-deferred
+/// flags (see "Divergence from the serial engine").
+fn try_start(rt: &mut GroupRuntime, table: &mut ReqTable, ctx: &ReadCtx) {
+    let g = rt.group.as_mut().expect("group checked out");
+    if g.is_busy() || g.frozen {
+        return;
+    }
+    // Blocked admission stops for this window; requests keep queuing, as
+    // in the serial engine when the policy declines to free memory.
+    if admit_fitting(g, table) {
+        rt.blocked = true;
     }
 
-    // Admission: reserve blocks for queued requests while they fit.
-    loop {
-        let g = rt.group.as_mut().expect("group checked out");
-        let Some(&head) = g.queue.front() else { break };
-        // SAFETY: `head` is queued on this task's own group, so exclusive
-        // ownership of it travels with the task (stolen or not) this
-        // window; `req` is the only live reference to it (the loop
-        // re-borrows afresh each round).
-        let req = unsafe { table.req(head) };
-        debug_assert_eq!(req.group, g.id, "queued request owned by its group");
-        if req.is_terminal() {
-            // Cancelled at a barrier while queued: drop it from the
-            // admission queue without reserving anything.
-            g.queue.pop_front();
-            continue;
-        }
-        let target = req.prefill_target();
-        if g.blocks.can_allocate(target) {
-            g.blocks
-                .allocate(SeqKey(head.0 as u64), target)
-                .expect("checked can_allocate");
-            req.state = ReqState::Running;
-            g.queue.pop_front();
-            g.running.push(head);
-        } else {
-            rt.blocked = true;
-            break;
-        }
-    }
-
-    // Decode growth reservation.
-    let rounds = {
-        let g = rt.group.as_ref().expect("group checked out");
-        decode_tokens_per_iter(g.stages(), &ctx.cfg)
-    };
-    let mut decodes = std::mem::take(&mut rt.decodes);
-    decodes.clear();
-    decodes.extend(
-        rt.group
-            .as_ref()
-            .expect("group checked out")
-            .running
+    // Decode-growth reservation: on OOM flag the request for the barrier
+    // and skip its decode this iteration (the `SkipIteration` resolution).
+    let rounds = decode_tokens_per_iter(g.stages(), &ctx.cfg);
+    rt.decodes.clear();
+    rt.decodes.extend(
+        g.running
             .iter()
             .copied()
-            // SAFETY: `r` runs on this task's own group, whose requests
-            // this task owns this window; the reference is dropped within
-            // the closure.
-            .filter(|&r| unsafe { table.req(r) }.in_decode()),
+            .filter(|&r| table.get(r).in_decode()),
     );
-    let mut skipped = std::mem::take(&mut rt.skipped);
-    skipped.clear();
-    for r in decodes.drain(..) {
-        let (state_ok, want) = {
-            // SAFETY: `r` runs on this task's own group, whose requests
-            // this task owns this window; the reference does not escape
-            // this block.
-            let req = unsafe { table.req(r) };
-            (
-                req.state == ReqState::Running,
-                rounds.min(req.output_remaining()).max(1),
-            )
-        };
-        if !state_ok {
+    rt.skipped.clear();
+    for &r in &rt.decodes {
+        let req = table.get(r);
+        if req.state != ReqState::Running {
             continue;
         }
-        let g = rt.group.as_mut().expect("group checked out");
+        let want = rounds.min(req.output_remaining()).max(1);
         if g.blocks.append_tokens(SeqKey(r.0 as u64), want).is_err() {
             rt.oom.push(r);
-            skipped.push(r);
+            rt.skipped.push(r);
         }
     }
-    rt.decodes = decodes;
 
-    // Collect this iteration's work — the exact logic the serial engine
-    // uses, shared through `engine::collect_work`.
-    let work = collect_work(
-        rt.group.as_ref().expect("group checked out"),
-        table,
-        &ctx.cfg,
-        &skipped,
-    );
-    rt.skipped = skipped;
+    let work = collect_work(g, table, &ctx.cfg, &rt.skipped);
     if work.is_empty() {
         return;
     }
-
-    let (stages, model, gid) = {
-        let g = rt.group.as_ref().expect("group checked out");
-        (g.stages(), g.model, g.id)
-    };
-    let mbs: Vec<MicroBatch> = if stages == 1 {
+    let mbs: Vec<MicroBatch> = if g.stages() == 1 {
         vec![MicroBatch { chunks: work }]
     } else {
         ctx.former.form(
             &work,
-            stages,
+            g.stages(),
             ctx.cfg.microbatches_per_stage,
-            &ctx.cost_models[model.0 as usize],
+            &ctx.cost_models[g.model.0 as usize],
         )
     };
-    debug_assert!(!mbs.is_empty(), "non-empty work forms microbatches");
-
-    // Sample execution times from the ground truth with the group's own
-    // deterministic RNG stream.
-    let rng = rt.rng.get_or_insert_with(|| group_rng(ctx.cfg.seed, gid));
-    let gt = &ctx.ground_truths[model.0 as usize];
-    let fracs = rt
-        .group
-        .as_ref()
-        .expect("group checked out")
-        .stage_fracs
-        .clone();
-    let mut times = Vec::with_capacity(mbs.len());
-    for mb in &mbs {
-        let works = mb.works();
-        let row: Vec<SimDuration> = fracs.iter().map(|&f| gt.sample(&works, f, rng)).collect();
-        times.push(row);
-    }
-    let timing = StageTiming { times };
-
-    let overhead = rt.overhead.take().unwrap_or(SimDuration::ZERO);
-    let start = rt.clock + overhead;
-    let (makespan, bubble_frac) = if stages == 1 {
-        (timing.times[0][0], 0.0)
-    } else {
-        let members = rt
-            .group
-            .as_ref()
-            .expect("group checked out")
-            .members
-            .clone();
-        let act_per_token = ctx.cfg.model_cfg(model).activation_bytes_per_token();
-        let mb_tokens: Vec<u64> = mbs.iter().map(|m| m.new_tokens()).collect();
-        let links = &mut rt.links;
-        let sched = schedule(start, &timing, |mb, boundary, send| {
-            let bytes = (mb_tokens[mb] * act_per_token).max(1);
-            links.interactive(
-                send,
-                NodeId(members[boundary].0),
-                NodeId(members[boundary + 1].0),
-                bytes,
-            )
-        });
-        (sched.makespan, sched.bubble_frac())
+    let at = Launch {
+        now: rt.clock,
+        overhead: std::mem::take(&mut rt.overhead),
+        rng: rt.rng.get_or_insert_with(|| group_rng(ctx.cfg.seed, g.id)),
+        progress_pos: &mut rt.progress_pos,
     };
-
-    // Aggregate per-request token progress from the final microbatches.
-    let per_req = aggregate_progress(&mbs, &mut rt.progress_pos);
-    let new_tokens: u64 = per_req.iter().map(|&(_, t)| t).sum();
-
-    let finish = start + makespan;
-    let started = rt.clock;
-    let g = rt.group.as_mut().expect("group checked out");
-    g.iter_seq += 1;
-    let seq = g.iter_seq;
-    g.busy_until = Some(finish);
-    g.current_iter = Some(IterationPlan {
-        work: per_req,
-        started,
-        duration: finish - started,
-        bubble_frac,
-        new_tokens,
+    let links = &mut rt.links;
+    let finish = launch_iteration(g, mbs, &ctx.cfg, &ctx.ground_truths, at, |s, d, b, t| {
+        links.interactive(t, s, d, b)
     });
-    rt.queue.push(finish, LocalEvent::GroupDone { seq });
-}
-
-/// Task-local mirror of the serial `complete_iteration`.
-fn complete_iteration(rt: &mut GroupRuntime, table: &ReqTable) {
-    let now = rt.clock;
-    let (plan, group, stages) = {
-        let g = rt.group.as_mut().expect("group checked out");
-        g.busy_until = None;
-        (g.current_iter.take(), g.id, g.stages())
-    };
-    let Some(plan) = plan else { return };
-    rt.log.push((
-        now,
-        MetricEvent::Iteration(now, plan.duration.as_secs_f64()),
-    ));
-    if stages > 1 {
-        rt.log
-            .push((now, MetricEvent::Bubble(now, plan.bubble_frac)));
-    }
-    let mut emitted = 0u64;
-    for (r, ntok) in plan.work {
-        let (state_ok, was_decoding) = {
-            // SAFETY: `r` was planned by this task's own group; after
-            // barrier scrubbing every planned request still belongs to
-            // the group, so ownership stays with this task. The reference
-            // does not escape this block.
-            let req = unsafe { table.req(r) };
-            (
-                req.state == ReqState::Running && req.group == group,
-                req.in_decode(),
-            )
-        };
-        if !state_ok {
-            continue; // preempted / migrated at a barrier mid-iteration
-        }
-        {
-            // SAFETY: as above — `r` belongs to this task's group; the
-            // reference is scoped to this block.
-            let req = unsafe { table.req(r) };
-            if was_decoding {
-                req.generated += ntok;
-                emitted += ntok;
-            } else {
-                req.prefilled = (req.prefilled + ntok).min(req.prefill_target());
-                if req.in_decode() {
-                    if req.first_token_at.is_none() {
-                        req.first_token_at = Some(now);
-                        req.generated = req.generated.max(1);
-                        rt.log.push((now, MetricEvent::FirstToken(r, now)));
-                    } else {
-                        req.generated += 1;
-                    }
-                    emitted += 1;
-                }
-            }
-        }
-        // SAFETY: as above; the reference is dropped within the statement.
-        let done = unsafe { table.req(r) }.is_done();
-        if done {
-            let g = rt.group.as_mut().expect("group checked out");
-            let _ = g.blocks.free(SeqKey(r.0 as u64));
-            g.forget(r);
-            // SAFETY: as above; this is the only live reference (`done`
-            // and the block-free above re-borrowed and dropped theirs).
-            let req = unsafe { table.req(r) };
-            req.state = ReqState::Finished;
-            req.finished_at = Some(now);
-            rt.log.push((now, MetricEvent::Finished(r, now)));
-            rt.finished += 1;
-        }
-    }
-    if emitted > 0 {
-        rt.log.push((now, MetricEvent::Tokens(now, emitted)));
-    }
+    rt.queue
+        .push(finish, LocalEvent::GroupDone { seq: g.iter_seq });
 }
 
 // ---------------------------------------------------------------------
@@ -949,7 +743,7 @@ impl WorkerPool {
                 // find the window already drained; it then parks again.
                 while rx.recv().is_ok() {
                     while let Some((_, mut task)) = deques.pop(home) {
-                        run_window(&mut task.rt, &task.table, &ctx, task.w_end);
+                        run_window(&mut task.rt, &mut task.table, &ctx, task.w_end);
                         if result_tx.send(task.rt).is_err() {
                             return;
                         }
@@ -981,7 +775,7 @@ impl WorkerPool {
         }
         let mut ran = 0;
         while let Some((_, mut task)) = deques.pop(0) {
-            run_window(&mut task.rt, &task.table, ctx, task.w_end);
+            run_window(&mut task.rt, &mut task.table, ctx, task.w_end);
             let slot = task.rt.slot;
             runtimes[slot] = Some(task.rt);
             ran += 1;
@@ -1020,7 +814,6 @@ struct SessionCore {
     pool: Option<WorkerPool>,
     runtimes: Vec<Option<Box<GroupRuntime>>>,
     global: EventQueue<GlobalEvent>,
-    net_poll_at: Option<SimTime>,
     /// Registered-but-undispatched requests in arrival order (the batch
     /// path pre-fills this from the trace; sessions append via `inject`).
     pending: VecDeque<RequestId>,
@@ -1204,7 +997,6 @@ impl<P: Policy> ShardedEngine<P> {
             pool,
             runtimes: Vec::new(),
             global,
-            net_poll_at: None,
             pending: VecDeque::new(),
             finished: 0,
             total: 0,
@@ -1382,10 +1174,7 @@ impl<P: Policy> ShardedEngine<P> {
                 match ev {
                     GlobalEvent::MonitorTick => {
                         s.dirty = true; // the policy may move requests
-                        let (demand, capacity, used) = self.state.memory_totals();
-                        self.state.metrics.mem_demand.push(t, demand as f64);
-                        self.state.metrics.mem_capacity.push(t, capacity as f64);
-                        self.state.metrics.mem_used.push(t, used as f64);
+                        self.state.sample_memory(t);
                         self.policy.on_tick(&mut self.state, t);
                         // Closed-loop client pass (no-op without
                         // `cfg.retry`): ticks land on window boundaries, so
@@ -1415,9 +1204,7 @@ impl<P: Policy> ShardedEngine<P> {
                         }
                     }
                     GlobalEvent::NetPoll => {
-                        if s.net_poll_at == Some(t) {
-                            s.net_poll_at = None;
-                        }
+                        self.state.net_poll_fired(t);
                         let done = self.state.network.take_completions(t);
                         if !done.is_empty() {
                             s.dirty = true;
@@ -1508,15 +1295,8 @@ impl<P: Policy> ShardedEngine<P> {
             }
 
             // 5. Re-arm the transfer-completion poll (deduped).
-            if let Some(est) = self.state.network.next_completion_estimate() {
-                let at = est.max(b);
-                match s.net_poll_at {
-                    Some(t) if t <= at => {}
-                    _ => {
-                        s.global.push(at, GlobalEvent::NetPoll);
-                        s.net_poll_at = Some(at);
-                    }
-                }
+            if let Some(at) = self.state.arm_net_poll(b) {
+                s.global.push(at, GlobalEvent::NetPoll);
             }
 
             if !s.open && s.finished >= s.total {
@@ -1668,9 +1448,7 @@ impl<P: Policy> ShardedEngine<P> {
                     let gid = GroupId(slot);
                     let rt = s.runtimes[slot].as_mut().expect("runtime ensured");
                     rt.clock = b.max(rt.clock);
-                    if let Some(ov) = self.state.pending_overhead.remove(&gid) {
-                        rt.overhead = Some(rt.overhead.map_or(ov, |o| o + ov));
-                    }
+                    rt.overhead += self.state.take_overhead(gid);
                     rt.group = Some(self.state.take_group(gid));
                 }
 
@@ -1711,7 +1489,7 @@ impl<P: Policy> ShardedEngine<P> {
                         // Inline path: drain in deterministic lane order —
                         // by construction it never counts a steal.
                         for mut task in s.deques.drain_in_order() {
-                            run_window(&mut task.rt, &task.table, &s.ctx, task.w_end);
+                            run_window(&mut task.rt, &mut task.table, &s.ctx, task.w_end);
                             let slot = task.rt.slot;
                             s.runtimes[slot] = Some(task.rt);
                         }
@@ -1737,7 +1515,7 @@ impl<P: Policy> ShardedEngine<P> {
                         .extend(rt.oom.drain(..).map(|r| (GroupId(slot), r)));
                 }
                 let runtimes = &s.runtimes;
-                let state = &mut self.state;
+                let metrics = &mut self.state.metrics;
                 merge_slot_logs(
                     &mut s.merge_heap,
                     &s.to_run,
@@ -1745,17 +1523,7 @@ impl<P: Policy> ShardedEngine<P> {
                         let rt = runtimes[slot].as_deref().expect("present");
                         (rt.home, rt.log.as_slice())
                     },
-                    |ev| match ev {
-                        MetricEvent::FirstToken(r, t) => state.metrics.on_first_token(r, t),
-                        MetricEvent::Finished(r, t) => {
-                            let met = state.requests[r.0].deadline_met_at(t);
-                            state.metrics.on_finish_outcome(met);
-                            state.metrics.on_finished(r, t)
-                        }
-                        MetricEvent::Tokens(t, n) => state.metrics.on_tokens(t, n),
-                        MetricEvent::Iteration(t, d) => state.metrics.iterations.push(t, d),
-                        MetricEvent::Bubble(t, f) => state.metrics.bubbles.push(t, f),
-                    },
+                    |ev| metrics.record(ev),
                 );
                 for &slot in &s.to_run {
                     s.runtimes[slot].as_mut().expect("present").log.clear();
@@ -1976,12 +1744,10 @@ mod tests {
             shadow: Arc::new(ShadowOwners::new(reqs.len())),
         };
         let (a, b) = (base.for_slot(0), base.for_slot(1));
-        // SAFETY: single-threaded test; the reference is dropped within
-        // the statement, and only one view is dereferenced at a time.
-        let _ = unsafe { a.req(RequestId(0)) }.group;
-        // SAFETY: as above — this access is the *deliberate* contract
-        // violation the detector must turn into a panic.
-        let _ = unsafe { b.req(RequestId(0)) }.group;
+        let _ = a.get(RequestId(0)).group;
+        // The *deliberate* contract violation the detector must turn
+        // into a panic.
+        let _ = b.get(RequestId(0)).group;
     }
 
     /// The detector permits repeated same-task access within a window
@@ -2008,17 +1774,15 @@ mod tests {
             epoch: 0,
             shadow,
         };
-        let a = base.for_slot(0);
-        // SAFETY: single-threaded test; references are dropped within
-        // each statement, never held across the next dereference.
-        let _ = unsafe { a.req(RequestId(0)) }.group;
-        // SAFETY: as above — same task, same window: allowed.
-        let _ = unsafe { a.req(RequestId(0)) }.group;
+        let mut a = base.for_slot(0);
+        let _ = a.get(RequestId(0)).group;
+        // Same task, same window: allowed.
+        a.get_mut(RequestId(0)).prefilled = 1;
         base.epoch = 1; // barrier: next conservative window
         let b = base.for_slot(1);
-        // SAFETY: as above — different task, *new* window: a legitimate
-        // barrier-time ownership handover.
-        let _ = unsafe { b.req(RequestId(0)) }.group;
+        // Different task, *new* window: a legitimate barrier-time
+        // ownership handover.
+        let _ = b.get(RequestId(0)).group;
     }
 
     #[test]

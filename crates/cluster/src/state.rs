@@ -167,8 +167,10 @@ pub struct ClusterState {
     /// All serving instances, indexed by [`InstanceId`].
     pub instances: Vec<Instance>,
     /// Group slots; merged/split groups leave dead (`None`) slots behind so
-    /// stale events are detectable.
-    groups: Vec<Option<ExecGroup>>,
+    /// stale events are detectable. Crate-visible so the serial engine can
+    /// borrow a live group beside the request table, metrics, RNG and
+    /// network when it runs the iteration kernel.
+    pub(crate) groups: Vec<Option<ExecGroup>>,
     /// All requests ever admitted to the cluster, indexed by [`RequestId`].
     pub requests: Vec<Request>,
     /// The inter-instance and host network.
@@ -199,6 +201,9 @@ pub struct ClusterState {
     next_batch: u64,
     /// In-flight elastic model load/unload operations (gateway-driven).
     model_ops: Vec<ModelOp>,
+    /// Earliest transfer-completion poll the executor has queued (see
+    /// [`Self::arm_net_poll`]).
+    net_poll_at: Option<SimTime>,
 }
 
 impl ClusterState {
@@ -301,6 +306,7 @@ impl ClusterState {
             transfer_batches: HashMap::new(),
             next_batch: 0,
             model_ops: Vec::new(),
+            net_poll_at: None,
         })
     }
 
@@ -479,6 +485,15 @@ impl ClusterState {
         (demand, capacity, used)
     }
 
+    /// Appends the monitor's memory sample at `now` to the demand,
+    /// capacity and used timelines.
+    pub(crate) fn sample_memory(&mut self, now: SimTime) {
+        let (demand, capacity, used) = self.memory_totals();
+        self.metrics.mem_demand.push(now, demand as f64);
+        self.metrics.mem_capacity.push(now, capacity as f64);
+        self.metrics.mem_used.push(now, used as f64);
+    }
+
     /// `(demand, capacity, used)` bytes restricted to one model's groups.
     pub fn memory_totals_of(&self, model: ModelId) -> (u64, u64, u64) {
         let kv = self.cfg.model_cfg(model).kv_bytes_per_token();
@@ -581,23 +596,8 @@ impl ClusterState {
     }
 
     // ------------------------------------------------------------------
-    // Admission and release.
+    // Block release (admission lives in `crate::iteration`).
     // ------------------------------------------------------------------
-
-    /// Tries to admit the request: reserves blocks for its full prefill
-    /// target. Returns `false` when blocks are insufficient.
-    pub fn try_admit(&mut self, id: RequestId, group: GroupId) -> bool {
-        let target = self.requests[id.0].prefill_target();
-        let g = self.groups[group.0].as_mut().expect("group is alive");
-        if !g.blocks.can_allocate(target) {
-            return false;
-        }
-        g.blocks
-            .allocate(Self::seq_key(id), target)
-            .expect("checked can_allocate");
-        self.requests[id.0].state = ReqState::Running;
-        true
-    }
 
     /// Frees a finished/preempted request's blocks on its group.
     pub fn release_blocks(&mut self, id: RequestId) {
@@ -2591,6 +2591,29 @@ impl ClusterState {
         }
     }
 
+    /// When the executor should queue a transfer-completion poll, if at
+    /// all: at the network's next completion estimate (not before `now`),
+    /// unless a poll is already queued at or before that time. Dedupes the
+    /// polls every group completion and reconfiguration would otherwise
+    /// queue, each costing a queue operation and a group sweep.
+    pub(crate) fn arm_net_poll(&mut self, now: SimTime) -> Option<SimTime> {
+        let at = self.network.next_completion_estimate()?.max(now);
+        match self.net_poll_at {
+            Some(t) if t <= at => None,
+            _ => {
+                self.net_poll_at = Some(at);
+                Some(at)
+            }
+        }
+    }
+
+    /// Records that the poll queued for `t` fired.
+    pub(crate) fn net_poll_fired(&mut self, t: SimTime) {
+        if self.net_poll_at == Some(t) {
+            self.net_poll_at = None;
+        }
+    }
+
     /// Takes (and clears) the pending start-up overhead of a group.
     pub fn take_overhead(&mut self, group: GroupId) -> SimDuration {
         self.pending_overhead
@@ -2799,8 +2822,10 @@ mod tests {
         state.requests.push(Request::new(r, spec, GroupId(0)));
         let g = state.dispatch(spec.model, spec.input_tokens);
         state.note_dispatch(r, g);
-        assert!(state.try_admit(r, g), "tiny request admits");
-        state.group_mut(g).running.push(r);
+        state.group_mut(g).queue.push_back(r);
+        let grp = state.groups[g.0].as_mut().expect("group is alive");
+        let blocked = crate::iteration::admit_fitting(grp, &mut state.requests[..]);
+        assert!(!blocked, "tiny request admits");
 
         state.group_mut(g).busy_until = Some(SimTime::from_secs_f64(1.0));
         assert_eq!(state.cancel_request(r), CancelOutcome::Deferred);

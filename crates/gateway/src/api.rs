@@ -29,6 +29,10 @@ pub enum GatewayError {
     /// `input_tokens + output_tokens` does not fit in a `u64`, so the
     /// request's token reservation cannot be charged.
     TokenCountOverflow,
+    /// `input_tokens` is zero. Prefill completion is what emits a
+    /// request's first token, so an empty prompt would either never
+    /// finish or finish without a first token.
+    EmptyPrompt,
 }
 
 impl std::fmt::Display for GatewayError {
@@ -42,6 +46,7 @@ impl std::fmt::Display for GatewayError {
             GatewayError::ModelOpRejected(m) => write!(f, "model op on {m} not applicable"),
             GatewayError::UnknownRequest => write!(f, "unknown request handle"),
             GatewayError::TokenCountOverflow => write!(f, "input + output tokens overflow u64"),
+            GatewayError::EmptyPrompt => write!(f, "prompt has no input tokens"),
         }
     }
 }
@@ -234,8 +239,8 @@ impl<C: Clock> Gateway<C> {
     /// Submits a request under `key`. On success the request is queued
     /// for injection at the boundary covering `spec.arrival` and its
     /// handle is returned; the error cases are quota, auth, model
-    /// availability, time-ordering violations and a token count that
-    /// overflows `u64`.
+    /// availability, time-ordering violations, an empty prompt and a token
+    /// count that overflows `u64`.
     pub fn submit(&mut self, key: &str, spec: SubmitSpec) -> Result<RequestHandle, GatewayError> {
         let tenant_ix = self
             .tenants
@@ -251,6 +256,9 @@ impl<C: Clock> Gateway<C> {
         }
         if spec.arrival < self.now {
             return Err(GatewayError::ArrivalInPast(spec.arrival));
+        }
+        if spec.input_tokens == 0 {
+            return Err(GatewayError::EmptyPrompt);
         }
         let reserve = spec
             .input_tokens
@@ -540,6 +548,23 @@ mod tests {
         );
         let tenant = &g.tenants[t.0 as usize];
         assert_eq!((tenant.used_requests, tenant.used_tokens), (0, 0));
+    }
+
+    #[test]
+    fn empty_prompt_is_rejected_without_charging() {
+        let mut g = gw();
+        let t = g.register_tenant("acme", "k1", Quota::UNLIMITED);
+        for output in [0, 8] {
+            let empty = SubmitSpec::new(ModelId::PRIMARY, SimTime::from_millis(10), 0, output);
+            assert_eq!(
+                g.submit("k1", empty),
+                Err(GatewayError::EmptyPrompt),
+                "output {output}"
+            );
+        }
+        let tenant = &g.tenants[t.0 as usize];
+        assert_eq!((tenant.used_requests, tenant.used_tokens), (0, 0));
+        assert!(g.tracks.is_empty(), "a rejected prompt leaves no track");
     }
 
     #[test]

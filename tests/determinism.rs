@@ -380,7 +380,9 @@ fn diurnal_scenario_byte_identical_across_worker_counts() {
 #[test]
 fn resilience_scenario_byte_identical_across_worker_counts() {
     use cluster::{Deadline, RetryPolicy};
-    let run = |workers: usize| {
+    // `None` runs the serial engine; `Some(workers)` the sharded executor
+    // on four lanes.
+    let run = |workers: Option<usize>| {
         let trace = BurstTraceBuilder::new(Dataset::BurstGpt)
             .base_rps(60.0)
             .duration(SimDuration::from_secs(20))
@@ -401,14 +403,15 @@ fn resilience_scenario_byte_identical_across_worker_counts() {
         let schedule = FailureSchedule::new()
             .rack_down(SimTime::from_secs(8), 1)
             .rack_up(SimTime::from_secs(14), 1);
-        Run::new(SystemKind::KunServe, cfg, &trace)
-            .drain(SimDuration::from_secs(600))
-            .sharded(ParallelConfig {
+        let mut run =
+            Run::new(SystemKind::KunServe, cfg, &trace).drain(SimDuration::from_secs(600));
+        if let Some(workers) = workers {
+            run = run.sharded(ParallelConfig {
                 num_shards: 4,
                 ..ParallelConfig::with_workers(workers)
-            })
-            .failures(&schedule)
-            .execute()
+            });
+        }
+        run.failures(&schedule).execute()
     };
     let bytes = |out: &RunOutcome| {
         format!(
@@ -416,9 +419,12 @@ fn resilience_scenario_byte_identical_across_worker_counts() {
             out.report, out.report.per_model, out.state.metrics.reconfig_events
         )
     };
-    let one = run(1);
+    let serial = run(None);
+    let one = run(Some(1));
     // The matrix must not pass vacuously: the storm has to actually
-    // trip deadlines and drive the closed-loop client.
+    // trip deadlines and drive the closed-loop client. The serial engine
+    // preempts less, so every request it admits meets its deadline; there
+    // the resilience layer shows up as deadline-aware shedding.
     assert!(
         one.report.deadline_misses > 0,
         "scenario must trip deadlines (misses {})",
@@ -428,9 +434,25 @@ fn resilience_scenario_byte_identical_across_worker_counts() {
         one.report.retries > 0,
         "scenario must drive retry re-arrivals"
     );
+    assert!(
+        serial.report.shed_requests > 0 && serial.report.goodput_requests > 0,
+        "serial: scenario must shed and still finish requests within deadline"
+    );
+    // Deadline and retry accounting is pinned on both executors, so moving
+    // where `deadline_met` is decided cannot silently change the report.
+    for (label, out, golden) in [
+        ("serial", &serial, RESILIENCE_SERIAL_FNV),
+        ("sharded x1", &one, RESILIENCE_SHARDED_FNV),
+    ] {
+        let hash = fnv1a64(&bytes(out));
+        assert_eq!(
+            hash, golden,
+            "{label}: resilience hash {hash:#018x} differs from the golden {golden:#018x}"
+        );
+    }
     let one_bytes = bytes(&one);
-    assert_eq!(one_bytes, bytes(&run(2)), "2 workers must match 1");
-    assert_eq!(one_bytes, bytes(&run(4)), "4 workers must match 1");
+    assert_eq!(one_bytes, bytes(&run(Some(2))), "2 workers must match 1");
+    assert_eq!(one_bytes, bytes(&run(Some(4))), "4 workers must match 1");
 }
 
 /// 64-bit FNV-1a: pins a report's Debug bytes in a short constant.
@@ -447,6 +469,12 @@ fn fnv1a64(s: &str) -> u64 {
 /// behaviour change.
 const PIPELINED_BURST_SERIAL_FNV: u64 = 0xb35e_3302_ce25_40b3;
 const PIPELINED_BURST_SHARDED_FNV: u64 = 0xf573_edfe_aec3_278b;
+
+/// FNV-1a of the resilience scenario's report, per-model report and
+/// reconfiguration log (deadlines, retries and a rack failure) on the
+/// serial engine and on the sharded executor (1 worker, 4 lanes).
+const RESILIENCE_SERIAL_FNV: u64 = 0xcc61_3c1d_836d_7b2a;
+const RESILIENCE_SHARDED_FNV: u64 = 0xbb70_eb00_b9a4_9a97;
 
 /// `ShardStats::windows` and the report FNV-1a of `pipelined_burst` on one
 /// and on four steal lanes. With two or more lanes every window ends by
